@@ -22,6 +22,11 @@ import (
 // count equals NF[gi]. The candidate set has no false negatives (see the
 // paper's §6.2 argument); callers verify gi ⊆ g to remove false positives.
 //
+// Graph ids are small dense integers (dataset positions, or slots of a
+// cache snapshot), so NF and the Algorithm 2 counter are plain slices
+// indexed by id: the final pass is one ordered loop over NF, with no map
+// and no sort.
+//
 // Postings are probed by interned FeatureID. Query features unknown to the
 // dictionary are harmless here: they can only make the query *larger*, and
 // Algorithm 2 only requires every *indexed* feature to appear in the query.
@@ -32,7 +37,8 @@ import (
 type ContainmentIndex struct {
 	maxPathLen int
 	tr         *trie.Trie
-	nf         map[int32]int // NF[gi]: distinct feature count per graph
+	nf         []int32 // NF[gi]: distinct feature count per graph; -1 where no graph is indexed
+	n          int     // indexed graphs (entries of nf ≥ 0)
 
 	// pool of scratch state for the public standalone entry points; iGQ's
 	// hot path passes a per-query scratch from its own free list instead.
@@ -45,9 +51,12 @@ type ContainmentIndex struct {
 // ciScratch is the reusable state of one Algorithm 2 pass.
 type ciScratch struct {
 	feat    *features.Scratch
-	matched map[int32]int32
+	matched []int32 // per-graph count of features passing the occurrence test
+	ids     []int32 // one feature's posting ids
 	res     []int32
 }
+
+func newCIScratch() *ciScratch { return &ciScratch{feat: features.NewScratch()} }
 
 // NewContainmentIndex returns an empty containment index with a private
 // feature dictionary, using labeled simple paths of up to maxPathLen edges
@@ -69,17 +78,32 @@ func NewContainmentIndexSharded(maxPathLen int, d *features.Dict, shards int) *C
 	if maxPathLen <= 0 {
 		maxPathLen = 4
 	}
-	return newContainmentIndex(maxPathLen, trie.NewSharded(d, shards), make(map[int32]int))
+	return newContainmentIndex(maxPathLen, trie.NewSharded(d, shards), nil)
 }
 
 // newContainmentIndex assembles an index around an existing trie and NF
 // table (the constructors and the copy-on-write mutation path share it).
-func newContainmentIndex(maxPathLen int, tr *trie.Trie, nf map[int32]int) *ContainmentIndex {
+func newContainmentIndex(maxPathLen int, tr *trie.Trie, nf []int32) *ContainmentIndex {
 	ci := &ContainmentIndex{maxPathLen: maxPathLen, tr: tr, nf: nf}
-	ci.pool.New = func() any {
-		return &ciScratch{feat: features.NewScratch(), matched: make(map[int32]int32)}
+	for _, n := range nf {
+		if n >= 0 {
+			ci.n++
+		}
 	}
+	ci.pool.New = func() any { return newCIScratch() }
 	return ci
+}
+
+// setNF records NF[id] = n, growing the table with never-indexed
+// sentinels as needed.
+func (ci *ContainmentIndex) setNF(id int32, n int) {
+	for int(id) >= len(ci.nf) {
+		ci.nf = append(ci.nf, -1)
+	}
+	if ci.nf[id] < 0 {
+		ci.n++
+	}
+	ci.nf[id] = int32(n)
 }
 
 // Add indexes graph g under identifier id (Algorithm 1's loop body).
@@ -93,7 +117,7 @@ func (ci *ContainmentIndex) Add(id int32, g *graph.Graph) {
 // AddFromIDCounts indexes a graph by its pre-enumerated, interned feature
 // occurrences, letting callers share one enumeration across several indexes.
 func (ci *ContainmentIndex) AddFromIDCounts(id int32, qf features.IDSet) {
-	ci.nf[id] = len(qf.Counts)
+	ci.setNF(id, len(qf.Counts))
 	for _, fc := range qf.Counts {
 		ci.tr.InsertID(fc.ID, trie.Posting{Graph: id, Count: fc.Count})
 	}
@@ -102,7 +126,7 @@ func (ci *ContainmentIndex) AddFromIDCounts(id int32, qf features.IDSet) {
 // AddFromFeatures indexes a graph by its string-keyed feature occurrence
 // counts (legacy entry point; the hot path is AddFromIDCounts).
 func (ci *ContainmentIndex) AddFromFeatures(id int32, counts map[string]int) {
-	ci.nf[id] = len(counts)
+	ci.setNF(id, len(counts))
 	for f, o := range counts {
 		ci.tr.Insert(f, trie.Posting{Graph: id, Count: int32(o)})
 	}
@@ -115,7 +139,7 @@ func (ci *ContainmentIndex) Dict() *features.Dict { return ci.tr.Dict() }
 func (ci *ContainmentIndex) MaxPathLen() int { return ci.maxPathLen }
 
 // Len returns the number of indexed graphs.
-func (ci *ContainmentIndex) Len() int { return len(ci.nf) }
+func (ci *ContainmentIndex) Len() int { return ci.n }
 
 // CandidateSubgraphs implements Algorithm 2: the ids of indexed graphs that
 // may satisfy gi ⊆ g. The result is sorted ascending, freshly allocated,
@@ -148,48 +172,39 @@ func (ci *ContainmentIndex) CandidatesFromIDSet(qf features.IDSet) []int32 {
 }
 
 // candidatesFromIDs is Algorithm 2 given pre-enumerated query occurrences
-// O[f, g]. The result aliases s and is valid until the scratch is reused.
+// O[f, g]: a dense per-graph counter of the features passing the
+// occurrence test, then one ordered pass keeping gi iff its count equals
+// NF[gi] — which also admits graphs with no features (the empty graph is
+// a subgraph of everything) and never an id that holds no graph. The
+// result is ascending, aliases s and is valid until the scratch is reused.
 func (ci *ContainmentIndex) candidatesFromIDs(qf features.IDSet, s *ciScratch) []int32 {
-	matched := s.matched
+	if cap(s.matched) < len(ci.nf) {
+		s.matched = make([]int32, len(ci.nf))
+	}
+	matched := s.matched[:len(ci.nf)]
 	clear(matched)
 	for _, fc := range qf.Counts {
 		pl := ci.tr.GetByID(fc.ID)
-		if pl.UniformCounts() && fc.Count >= 1 {
-			// Every posting has count 1 ≤ fc.Count: no per-posting test.
-			pl.Range(func(_ int, g int32) bool {
-				matched[g]++
-				return true
-			})
-			continue
-		}
-		want := fc.Count
-		pl.Range(func(i int, g int32) bool {
-			if pl.CountAt(i) <= want {
+		s.ids = pl.AppendIDs(s.ids[:0])
+		for i, g := range s.ids {
+			if pl.CountAt(i) <= fc.Count {
 				matched[g]++
 			}
-			return true
-		})
+		}
 	}
 	cs := s.res[:0]
-	for id, cnt := range matched {
-		if int(cnt) == ci.nf[id] {
-			cs = append(cs, id)
-		}
-	}
-	// A graph with no features can only be the empty graph, which is a
-	// subgraph of everything; include any such indexed graphs.
 	for id, n := range ci.nf {
-		if n == 0 {
-			cs = append(cs, id)
+		if matched[id] == n {
+			cs = append(cs, int32(id))
 		}
 	}
-	s.res = sortIDs(cs)
-	return s.res
+	s.res = cs
+	return cs
 }
 
 // SizeBytes approximates the index footprint (trie plus NF table).
 func (ci *ContainmentIndex) SizeBytes() int {
-	return ci.tr.SizeBytes() + 12*len(ci.nf)
+	return ci.tr.SizeBytes() + 12*ci.n
 }
 
 // LiveDictSizeBytes reports the feature dictionary's footprint counted at

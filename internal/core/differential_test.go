@@ -64,8 +64,10 @@ func refOutcome(q *IGQ, g *graph.Graph) (answer []int32, subHits, superHits, fin
 	qfp := graph.Fingerprint(g)
 
 	entryFeats := make(map[int32]map[string]int, len(q.snap.Load().entries))
+	byID := make(map[int32]*entry, len(q.snap.Load().entries))
 	for _, e := range q.snap.Load().entries {
 		entryFeats[e.id] = refFeatures(e.g, maxLen)
+		byID[e.id] = e
 	}
 
 	// Candidate generation, seed-style: brute-force count comparisons.
@@ -107,7 +109,7 @@ func refOutcome(q *IGQ, g *graph.Graph) (answer []int32, subHits, superHits, fin
 	sameSize := func(e *entry) bool { return e.g.NumVertices() == nv && e.g.NumEdges() == ne }
 
 	for _, id := range index.UnionSorted(subCands, superCands) {
-		e := q.snap.Load().byID[id]
+		e := byID[id]
 		if sameSize(e) && e.fp == qfp && subgraphTest(g, e.g) {
 			if len(e.answer) > 0 {
 				answer = append([]int32(nil), e.answer...)
@@ -119,7 +121,7 @@ func refOutcome(q *IGQ, g *graph.Graph) (answer []int32, subHits, superHits, fin
 	subIsUnion := q.opt.Mode == SubgraphQueries
 	var subEntries, superEntries []*entry
 	for _, id := range subCands {
-		e := q.snap.Load().byID[id]
+		e := byID[id]
 		if sameSize(e) || (subIsUnion && len(e.answer) == 0) {
 			continue
 		}
@@ -128,7 +130,7 @@ func refOutcome(q *IGQ, g *graph.Graph) (answer []int32, subHits, superHits, fin
 		}
 	}
 	for _, id := range superCands {
-		e := q.snap.Load().byID[id]
+		e := byID[id]
 		if sameSize(e) || (!subIsUnion && len(e.answer) == 0) {
 			continue
 		}

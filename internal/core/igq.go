@@ -182,13 +182,16 @@ type Outcome struct {
 
 // snapshot is one immutable generation of the cache's read state: the
 // dataset and method generation being answered over, the committed
-// entries, the id lookup table, and the two cache-side indexes built over
-// exactly those entries. A snapshot is never mutated after it is
-// installed; flushes build a new one and swap the pointer (the paper's
-// "Ishadow replaces I with a pointer swap"), and dataset mutations
-// (DatasetAppended/DatasetRemoved) install a generation whose db, m and
-// patched entries change *together* — a query loads one snapshot and sees
-// a fully consistent (dataset, index, cache) triple. Entry *metadata*
+// entries, and the two cache-side indexes built over exactly those
+// entries. The indexes key their postings by slot — an entry's position in
+// entries — so a candidate id indexes entries directly and both the Isub
+// id universe and the Isuper NF table stay as small as the cache. A
+// snapshot is never mutated after it is installed; flushes build a new
+// one and swap the pointer (the paper's "Ishadow replaces I with a pointer
+// swap"), and dataset mutations (DatasetAppended/DatasetRemoved) install a
+// generation whose db, m and patched entries change *together* — a query
+// loads one snapshot and sees a fully consistent (dataset, index, cache)
+// triple. Entry *metadata*
 // (hits, logCost) is the one mutable element reachable from a snapshot; it
 // is written only under IGQ.mu and read only under IGQ.mu (eviction,
 // Save), never on the lock-free answer path.
@@ -197,7 +200,6 @@ type snapshot struct {
 	m       index.Method
 	dbGen   int64 // dataset generation: bumped by each mutation, kept by flushes
 	entries []*entry
-	byID    map[int32]*entry
 	isub    *subIndex
 	isuper  *ContainmentIndex
 }
@@ -301,7 +303,7 @@ func (q *IGQ) getScratch() *queryScratch {
 	return &queryScratch{
 		feat:  features.NewScratch(),
 		sub:   &index.CountFilterScratch{},
-		super: &ciScratch{feat: features.NewScratch(), matched: make(map[int32]int32)},
+		super: newCIScratch(),
 	}
 }
 
@@ -557,7 +559,7 @@ func (q *IGQ) cacheLookup(snap *snapshot, g *graph.Graph, qfp uint64, qf feature
 		return e.g.NumVertices() == nv && e.g.NumEdges() == ne
 	}
 	for _, id := range index.UnionSorted(subCands, superCands) {
-		e := snap.byID[id]
+		e := snap.entries[id]
 		if sameSize(e) && e.fp == qfp {
 			out.CacheIsoTests++
 			if subgraphTest(g, e.g) {
@@ -570,7 +572,7 @@ func (q *IGQ) cacheLookup(snap *snapshot, g *graph.Graph, qfp uint64, qf feature
 	// maximally useful (the §4.3 empty-answer short-circuit) and are kept.
 	subIsUnion := q.opt.Mode == SubgraphQueries
 	for _, id := range subCands {
-		e := snap.byID[id]
+		e := snap.entries[id]
 		if sameSize(e) || (subIsUnion && len(e.answer) == 0) {
 			continue
 		}
@@ -580,7 +582,7 @@ func (q *IGQ) cacheLookup(snap *snapshot, g *graph.Graph, qfp uint64, qf feature
 		}
 	}
 	for _, id := range superCands {
-		e := snap.byID[id]
+		e := snap.entries[id]
 		if sameSize(e) || (!subIsUnion && len(e.answer) == 0) {
 			continue
 		}
@@ -671,7 +673,7 @@ func (q *IGQ) flushLocked() {
 	}
 	q.flushes++
 	cur := q.snap.Load()
-	newEntries, newByID := q.planFlushLocked()
+	newEntries := q.planFlushLocked()
 	q.window = nil
 	if q.opt.AsyncMaintenance {
 		done := make(chan struct{})
@@ -698,7 +700,7 @@ func (q *IGQ) flushLocked() {
 			}()
 			isub, isuper := buildIndexes(q.dict, newEntries, q.opt)
 			q.mu.Lock()
-			q.snap.Store(&snapshot{db: cur.db, m: cur.m, dbGen: cur.dbGen, entries: newEntries, byID: newByID, isub: isub, isuper: isuper})
+			q.snap.Store(&snapshot{db: cur.db, m: cur.m, dbGen: cur.dbGen, entries: newEntries, isub: isub, isuper: isuper})
 			if q.shadowDone == done {
 				q.shadowDone = nil
 			}
@@ -707,13 +709,13 @@ func (q *IGQ) flushLocked() {
 		return
 	}
 	isub, isuper := buildIndexes(q.dict, newEntries, q.opt)
-	q.snap.Store(&snapshot{db: cur.db, m: cur.m, dbGen: cur.dbGen, entries: newEntries, byID: newByID, isub: isub, isuper: isuper})
+	q.snap.Store(&snapshot{db: cur.db, m: cur.m, dbGen: cur.dbGen, entries: newEntries, isub: isub, isuper: isuper})
 }
 
 // planFlushLocked computes the post-flush entry set without touching the
-// currently served snapshot (fresh slice and map, shared entry pointers so
+// currently served snapshot (fresh slice, shared entry pointers so
 // metadata credited during an async build carries over). Caller holds q.mu.
-func (q *IGQ) planFlushLocked() ([]*entry, map[int32]*entry) {
+func (q *IGQ) planFlushLocked() []*entry {
 	active := q.snap.Load().entries
 	evict := map[int32]struct{}{}
 	if overflow := len(active) + len(q.window) - q.opt.CacheSize; overflow > 0 {
@@ -726,18 +728,12 @@ func (q *IGQ) planFlushLocked() ([]*entry, map[int32]*entry) {
 		}
 	}
 	newEntries := make([]*entry, 0, len(active)+len(q.window))
-	newByID := make(map[int32]*entry, len(active)+len(q.window))
 	for _, e := range active {
 		if _, gone := evict[e.id]; !gone {
 			newEntries = append(newEntries, e)
-			newByID[e.id] = e
 		}
 	}
-	for _, e := range q.window {
-		newEntries = append(newEntries, e)
-		newByID[e.id] = e
-	}
-	return newEntries, newByID
+	return append(newEntries, q.window...)
 }
 
 // waitShadowLocked blocks until any in-flight §5.2 background build has
@@ -831,20 +827,17 @@ func (q *IGQ) RebuildIndexes() {
 // them as the served snapshot over (m, db) — construction, Load and
 // rebuild time.
 func (q *IGQ) installEntries(entries []*entry, m index.Method, db []*graph.Graph) {
-	byID := make(map[int32]*entry, len(entries))
-	for _, e := range entries {
-		byID[e.id] = e
-	}
 	var gen int64
 	if cur := q.snap.Load(); cur != nil {
 		gen = cur.dbGen
 	}
 	isub, isuper := buildIndexes(q.dict, entries, q.opt)
-	q.snap.Store(&snapshot{db: db, m: m, dbGen: gen, entries: entries, byID: byID, isub: isub, isuper: isuper})
+	q.snap.Store(&snapshot{db: db, m: m, dbGen: gen, entries: entries, isub: isub, isuper: isuper})
 }
 
-// buildIndexes constructs fresh Isub/Isuper over an entry set; one
-// (interning) feature enumeration per cached graph feeds both indexes.
+// buildIndexes constructs fresh Isub/Isuper over an entry set, keying
+// every entry by its slot in entries; one (interning) feature enumeration
+// per cached graph feeds both indexes.
 // With opt.BuildWorkers > 1 the enumeration fans out: each worker claims
 // entries, interns their features and stages the postings into private
 // per-shard buffers of both sharded tries; the per-shard merges run after
@@ -860,12 +853,11 @@ func buildIndexes(dict *features.Dict, entries []*entry, opt Options) (*subIndex
 	workers := min(opt.BuildWorkers, len(entries))
 	if workers <= 1 {
 		scratch := features.NewScratch()
-		for _, e := range entries {
+		for i, e := range entries {
 			qf := features.PathsID(e.g, popt, dict, scratch, true)
-			isub.add(e.id, qf)
-			ci.AddFromIDCounts(e.id, qf)
+			isub.add(int32(i), qf)
+			ci.AddFromIDCounts(int32(i), qf)
 		}
-		isub.finish()
 		return isub, ci
 	}
 	sb := isub.tr.NewBuilder(workers)
@@ -879,7 +871,7 @@ func buildIndexes(dict *features.Dict, entries []*entry, opt Options) (*subIndex
 			qf := features.PathsID(e.g, popt, dict, scratch, true)
 			nfs[i] = len(qf.Counts)
 			for _, fc := range qf.Counts {
-				p := trie.Posting{Graph: e.id, Count: fc.Count}
+				p := trie.Posting{Graph: int32(i), Count: fc.Count}
 				sw.InsertID(fc.ID, p)
 				cw.InsertID(fc.ID, p)
 			}
@@ -887,10 +879,9 @@ func buildIndexes(dict *features.Dict, entries []*entry, opt Options) (*subIndex
 	})
 	sb.Merge()
 	cb.Merge()
-	for i, e := range entries {
-		isub.ids = append(isub.ids, e.id)
-		ci.nf[e.id] = nfs[i]
+	for i, n := range nfs {
+		isub.ids = append(isub.ids, int32(i))
+		ci.setNF(int32(i), n)
 	}
-	isub.finish()
 	return isub, ci
 }

@@ -21,7 +21,7 @@ import (
 // so one enumeration of the query serves every probe.
 type subIndex struct {
 	tr  *trie.Trie
-	ids []int32 // all indexed entry ids, sorted
+	ids []int32 // all indexed entry slots, ascending
 }
 
 // newSubIndex returns an empty Isub whose features are interned through d,
@@ -30,7 +30,8 @@ func newSubIndex(d *features.Dict, shards int) *subIndex {
 	return &subIndex{tr: trie.NewSharded(d, shards)}
 }
 
-// add indexes one cached graph's pre-enumerated features.
+// add indexes one cached graph's pre-enumerated features; slots are added
+// in ascending order.
 func (si *subIndex) add(id int32, qf features.IDSet) {
 	si.ids = append(si.ids, id)
 	for _, fc := range qf.Counts {
@@ -38,17 +39,14 @@ func (si *subIndex) add(id int32, qf features.IDSet) {
 	}
 }
 
-// finish sorts the id universe after all entries were added.
-func (si *subIndex) finish() { sortIDs(si.ids) }
-
 // candidates returns the ids of cached graphs that may be supergraphs of a
 // query with the given path-feature occurrences, via the shared
 // selectivity-ordered count filter (index.FilterCountGE). The result may
 // alias s and is valid until the scratch is reused. Each in-flight query
 // owns a private scratch set (IGQ's free list) holding one scratch per
 // cache-side index, so concurrent queries never share s and Isub/Isuper
-// results coexist within one query. The index itself is immutable after
-// finish, so any number of queries may probe it concurrently.
+// results coexist within one query. The index itself is immutable once
+// built, so any number of queries may probe it concurrently.
 func (si *subIndex) candidates(qf features.IDSet, s *index.CountFilterScratch) []int32 {
 	if len(qf.Counts) == 0 && qf.Unknown == 0 {
 		// an empty query is a subgraph of every cached graph

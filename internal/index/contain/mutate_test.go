@@ -73,6 +73,13 @@ func TestMutationDifferential(t *testing.T) {
 		if got, want := cur.SizeBytes(), ref.SizeBytes(); got != want {
 			t.Fatalf("step %d: SizeBytes %d != rebuilt %d", step, got, want)
 		}
+		// The NF table follows appends and swap-removals slot for slot.
+		if got, want := cur.(*Index).ci.NFTable(0), ref.ci.NFTable(0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: NF table %v != rebuilt %v", step, got, want)
+		}
+		if got := cur.(*Index).ci.Len(); got != len(cdb) {
+			t.Fatalf("step %d: Len %d != %d graphs", step, got, len(cdb))
+		}
 		for qi, q := range queries {
 			if got, want := cur.Filter(q), ref.Filter(q); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d query %d: Filter diverges\ngot:  %v\nwant: %v", step, qi, got, want)

@@ -9,29 +9,26 @@ import (
 	"repro/internal/trie"
 )
 
-// cfView is one filtered feature list awaiting intersection: either the
-// feature's whole posting container (c — the zero-materialisation path
-// taken whenever the count threshold admits every posting) or an extent of
-// the scratch arena holding the count-filtered subset.
+// cfView is one query feature's intersection operand: the feature's whole
+// posting list, whose container is a superset of the graphs passing the
+// feature's count threshold. want > 0 marks a thresholded feature, checked
+// on its group's survivors only; want == 0 admits every posting.
 type cfView struct {
-	c      trie.Container
-	lo, hi int32 // arena extent when c == nil
-	n      int   // cardinality
+	pl   trie.PostingList
+	want int32
 }
 
 // CountFilterScratch holds the reusable buffers of one count-filter pass:
 // the feature-enumeration scratch, the shard-grouped feature copy, the
-// filtered per-feature views (arena-backed where materialised), and the
-// intersection scratch.
+// per-feature views, and the intersection scratch.
 type CountFilterScratch struct {
 	Feat *features.Scratch
 
 	feats    []features.IDCount // query features regrouped by shard
 	shardOff []int32            // per-shard group boundaries (len K+1)
 	shardCur []int32            // scatter cursors during grouping
-	views    []cfView           // filtered per-feature views
+	views    []cfView           // per-feature views
 	groups   [][3]int           // per-shard group: [views start, views end, min view len]
-	arena    []int32            // count-filtered id lists
 	vbuf     []View             // per-group operand assembly
 	vs       ViewScratch        // serial intersection scratch
 	cur      []int32            // running cross-shard partial result
@@ -52,32 +49,38 @@ func GetCountFilterScratch() *CountFilterScratch {
 // result aliasing it must have been copied out first.
 func PutCountFilterScratch(s *CountFilterScratch) { countFilterPool.Put(s) }
 
-// parallelGroupMin is the per-group rarest-list cardinality above which a
-// multi-group query fans its shard-group intersections over goroutines:
-// below it the serial partial-threading (the globally rarest list capping
-// all later groups) beats any parallel speedup.
+// parallelGroupMin is the per-group rarest-container cardinality above
+// which a multi-group query fans its shard-group intersections over
+// goroutines: below it the serial partial-threading (the globally rarest
+// list capping all later groups) beats any parallel speedup.
 const parallelGroupMin = 1 << 13
 
 // FilterCountGE computes the candidate ids for a count-based feature filter
 // over tr: graphs holding every feature of qf with at least the wanted
 // multiplicity.
 //
+// Containers first, counts on survivors. Every feature contributes its
+// whole posting container to the intersection — for a feature with a count
+// threshold above 1 that is a superset of the graphs passing it — so
+// bitmap∧bitmap pairs collapse to word-ANDs and sparse partials probe dense
+// containers in O(1) per element (IntersectViews), and no posting list is
+// ever walked or materialised. A thresholded feature's counts are tested
+// only on the ids that survive its group's intersection, by one sorted
+// rank sweep of its container (trie.PostingList.KeepCountGE). A threshold
+// above 1 against a list whose counts are all 1 empties the answer at once.
+//
 // The pass follows the store's shard layout: query features are grouped by
-// postings shard and each shard's lists are filtered and intersected as one
-// group (all probes against one small per-shard map, so the map stays
-// cache-resident across the group). A feature whose threshold admits every
-// posting — the overwhelmingly common count-1 case — contributes its
-// container directly, with no materialisation: bitmap∧bitmap pairs inside a
-// group collapse to word-ANDs and sparse partials probe dense containers in
-// O(1) per element (IntersectViews). Shard groups are processed in
-// ascending order of their rarest filtered list, with the running
-// cross-shard partial threaded into each group's intersection — so the
-// globally rarest list still prunes all later work, exactly as the
-// unsharded rarest-first fold did. Every slice-vs-slice step picks merge vs
-// gallop from the trie's calibrated probe cost. Very large queries — every
-// group's rarest list at least parallelGroupMin — fan the per-group
-// intersections over bounded goroutines and fold the partials rarest-first.
-// The result may alias s and is only valid until the scratch is reused.
+// postings shard and each shard's lists are intersected as one group (all
+// probes against one small per-shard map, so the map stays cache-resident
+// across the group). Shard groups are processed in ascending order of
+// their rarest container, with the running cross-shard partial — already
+// count-checked — threaded into each group's intersection, so the globally
+// rarest list still prunes all later work. Every slice-vs-slice step picks
+// merge vs gallop from the trie's calibrated probe cost. Very large
+// queries — every group's rarest container at least parallelGroupMin — fan
+// the per-group intersections and count checks over bounded goroutines and
+// fold the partials rarest-first. The result may alias s and is only valid
+// until the scratch is reused.
 //
 // Callers must handle the empty-feature case (len(qf.Counts) == 0 &&
 // qf.Unknown == 0) themselves: the matching universe (all dataset
@@ -94,62 +97,37 @@ func FilterCountGE(tr *trie.Trie, qf features.IDSet, s *CountFilterScratch) []in
 	}
 	feats, off := s.groupByShard(tr, qf.Counts)
 
-	// Phase 1: build each feature's filtered view, one shard's group at a
-	// time; only count-thresholded features touch the arena.
-	arena := s.arena[:0]
-	views := s.views[:0]
-	groups := s.groups[:0]
+	// Phase 1: one view per feature, grouped by shard.
+	s.views, s.groups = s.views[:0], s.groups[:0]
 	for sh := 0; sh < tr.ShardCount(); sh++ {
 		lo, hi := off[sh], off[sh+1]
 		if lo == hi {
 			continue
 		}
-		gStart := len(views)
+		gStart := len(s.views)
 		minLen := int(^uint(0) >> 1)
 		for _, fc := range feats[lo:hi] {
 			pl := tr.GetByID(fc.ID)
 			if pl.Len() == 0 {
-				s.arena, s.views, s.groups = arena, views, groups
 				return nil
 			}
-			var v cfView
+			want := fc.Count
 			switch {
-			case fc.Count <= 0 || (fc.Count == 1 && pl.UniformCounts()):
-				// Threshold admits every posting: the container itself is
-				// the filtered list.
-				v = cfView{c: pl.IDs(), n: pl.Len()}
+			case want <= 0 || (want == 1 && pl.UniformCounts()):
+				want = 0 // the threshold admits every posting
 			case pl.UniformCounts():
-				// Threshold ≥ 2 against all-count-1 postings: nothing passes.
-				s.arena, s.views, s.groups = arena, views, groups
-				return nil
-			default:
-				start := len(arena)
-				want := fc.Count
-				pl.Range(func(i int, g int32) bool {
-					if pl.CountAt(i) >= want {
-						arena = append(arena, g)
-					}
-					return true
-				})
-				if len(arena) == start {
-					s.arena, s.views, s.groups = arena, views, groups
-					return nil
-				}
-				v = cfView{lo: int32(start), hi: int32(len(arena)), n: len(arena) - start}
+				return nil // threshold ≥ 2 against all-count-1 postings
 			}
-			if v.n < minLen {
-				minLen = v.n
-			}
-			views = append(views, v)
+			minLen = min(minLen, pl.Len())
+			s.views = append(s.views, cfView{pl: pl, want: want})
 		}
-		groups = append(groups, [3]int{gStart, len(views), minLen})
+		s.groups = append(s.groups, [3]int{gStart, len(s.views), minLen})
 	}
-	s.arena, s.views = arena, views
 
 	// Phase 2: intersect shard by shard, rarest shard first, folding the
 	// running partial into each group so it caps the group's work.
+	groups := s.groups
 	slices.SortFunc(groups, func(a, b [3]int) int { return a[2] - b[2] })
-	s.groups = groups
 	probeCost := tr.GallopProbeCost()
 	if len(groups) >= 2 && groups[0][2] >= parallelGroupMin && runtime.GOMAXPROCS(0) > 1 {
 		return s.filterParallel(probeCost)
@@ -163,34 +141,47 @@ func FilterCountGE(tr *trie.Trie, qf features.IDSet, s *CountFilterScratch) []in
 		vbuf = s.appendGroupViews(vbuf, g)
 		s.vbuf = vbuf
 		part := IntersectViews(vbuf, probeCost, &s.vs)
-		if len(part) == 0 {
+		// Copy the partial out of the intersection scratch (the next
+		// group's IntersectViews reuses it, and a lone array operand is
+		// returned as the container's own slice) before the count check
+		// compacts it in place.
+		s.cur = s.keepCounts(append(s.cur[:0], part...), g)
+		cur = s.cur
+		if len(cur) == 0 {
 			return nil
 		}
-		// Copy the partial out of the intersection scratch: the next
-		// group's IntersectViews reuses it.
-		s.cur = append(s.cur[:0], part...)
-		cur = s.cur
 	}
 	return cur
+}
+
+// keepCounts compacts ids in place to those passing the count threshold
+// of every thresholded feature of group g.
+func (s *CountFilterScratch) keepCounts(ids []int32, g [3]int) []int32 {
+	for _, v := range s.views[g[0]:g[1]] {
+		if len(ids) == 0 {
+			break
+		}
+		if v.want > 0 {
+			ids = v.pl.KeepCountGE(ids, v.want)
+		}
+	}
+	return ids
 }
 
 // appendGroupViews assembles one shard group's intersection operands.
 func (s *CountFilterScratch) appendGroupViews(dst []View, g [3]int) []View {
 	for _, v := range s.views[g[0]:g[1]] {
-		if v.c != nil {
-			dst = append(dst, View{C: v.c})
-		} else {
-			dst = append(dst, View{IDs: s.arena[v.lo:v.hi]})
-		}
+		dst = append(dst, View{C: v.pl.IDs()})
 	}
 	return dst
 }
 
-// filterParallel computes each shard group's intersection on its own
-// goroutine (bounded by GOMAXPROCS, 4, and the group count), then folds
-// the per-group partials rarest-first. Used only when every group's
-// rarest list clears parallelGroupMin — large enough that the lost
-// cross-group partial-threading is cheaper than the serial wall-clock.
+// filterParallel computes each shard group's intersection and count
+// check on its own goroutine (bounded by GOMAXPROCS, 4, and the group
+// count), then folds the per-group partials rarest-first. Used only when
+// every group's rarest container clears parallelGroupMin — large enough
+// that the lost cross-group partial-threading is cheaper than the serial
+// wall-clock.
 func (s *CountFilterScratch) filterParallel(probeCost int) []int32 {
 	groups := s.groups
 	if cap(s.parts) < len(groups) {
@@ -203,7 +194,8 @@ func (s *CountFilterScratch) filterParallel(probeCost int) []int32 {
 			vs := GetViewScratch()
 			views := s.appendGroupViews(make([]View, 0, groups[gi][1]-groups[gi][0]), groups[gi])
 			part := IntersectViews(views, probeCost, vs)
-			parts[gi] = append(parts[gi][:0], part...) // copy out before pooling
+			// copy out before pooling, then check counts in place
+			parts[gi] = s.keepCounts(append(parts[gi][:0], part...), groups[gi])
 			PutViewScratch(vs)
 		}
 	})

@@ -42,7 +42,7 @@ func idSet(tr *trie.Trie, want map[string]int32) features.IDSet {
 }
 
 // Exercises FilterCountGE's early-return paths back-to-back on ONE scratch:
-// a pass that bails out mid-arena (empty filtered postings list), a pass
+// a pass that bails out while staging views (empty postings list), a pass
 // that bails in the intersection phase (disjoint lists), then full passes —
 // each must be unaffected by the state the aborted passes left behind.
 func TestFilterCountGEScratchReuseAfterEarlyReturns(t *testing.T) {
@@ -62,8 +62,8 @@ func TestFilterCountGEScratchReuseAfterEarlyReturns(t *testing.T) {
 		// 1. Baseline pass to warm (and dirty) every buffer.
 		full("warmup", map[string]int32{"p:1": 1, "p:2": 1}, []int32{1, 2})
 
-		// 2. Early return: "p:4" has an empty postings list → nil after the
-		// arena was already partially filled by "p:1".
+		// 2. Early return: "p:4" has an empty postings list → nil after
+		// "p:1"'s view was already staged.
 		full("empty postings", map[string]int32{"p:1": 1, "p:4": 1}, nil)
 
 		// 3. Straight back into a full pass on the same scratch.

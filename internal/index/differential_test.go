@@ -2,8 +2,10 @@ package index
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/features"
@@ -12,7 +14,7 @@ import (
 
 // cfDataset builds one membership table covering every container regime:
 // tiny sets, sparse scatter, dense scatter and clustered runs, with a few
-// non-unit counts so the threshold-materialising path runs too.
+// non-unit counts so the survivor count check runs too.
 func cfDataset(seed int64, nFeats, nGraphs int) map[string][]trie.Posting {
 	rng := rand.New(rand.NewSource(seed))
 	ds := make(map[string][]trie.Posting, nFeats)
@@ -86,7 +88,7 @@ func idSetFor(tr *trie.Trie, keys []string, counts []int32) features.IDSet {
 // FilterCountGE over adaptive containers must return the identical
 // candidate list as over the forced-array reference, across shard layouts,
 // probe costs, feature mixes and count thresholds — covering the bitmap
-// word-AND chain, container probes and the materialised threshold path.
+// word-AND chain, container probes and the survivor count check.
 func TestFilterCountGEAdaptiveMatchesArray(t *testing.T) {
 	ds := cfDataset(5, 36, 900)
 	var allKeys []string
@@ -127,38 +129,49 @@ func TestFilterCountGEAdaptiveMatchesArray(t *testing.T) {
 
 // TestFilterCountGEParallelPath drives a query large enough to clear the
 // parallel fan-out gate (every shard group's rarest list ≥ parallelGroupMin)
-// and pins it against the serial array reference.
+// and pins it against the serial array reference and a brute-force count
+// check — once with unit thresholds and once with thresholds of 2 on
+// lists carrying non-unit counts, so the per-group count check runs on the
+// parallel path too.
 func TestFilterCountGEParallelPath(t *testing.T) {
 	const nGraphs = 3 * parallelGroupMin
 	rng := rand.New(rand.NewSource(17))
+	counts := rand.New(rand.NewSource(18))
 	ds := make(map[string][]trie.Posting)
 	for f := 0; f < 6; f++ {
 		var ps []trie.Posting
 		for g := 0; g < nGraphs; g++ {
 			if rng.Intn(8) != 0 { // dense: bitmap territory, > parallelGroupMin survivors
-				ps = append(ps, trie.Posting{Graph: int32(g), Count: 1})
+				p := trie.Posting{Graph: int32(g), Count: 1}
+				if f < 2 && counts.Intn(2) == 0 {
+					p.Count = 2 + int32(counts.Intn(2))
+				}
+				ps = append(ps, p)
 			}
 		}
 		ds[fmt.Sprintf("big:%d", f)] = ps
 	}
 	adaptive := buildCFTrie(trie.AdaptiveContainers, 4, ds)
 	reference := buildCFTrie(trie.ArrayOnlyContainers, 4, ds)
-	keys := make([]string, 0, len(ds))
-	counts := make([]int32, 0, len(ds))
-	for k := range ds {
-		keys = append(keys, k)
-		counts = append(counts, 1)
-	}
-	sa := GetCountFilterScratch()
-	ga := append([]int32(nil), FilterCountGE(adaptive, idSetFor(adaptive, keys, counts), sa)...)
-	PutCountFilterScratch(sa)
-	sr := GetCountFilterScratch()
-	gr := append([]int32(nil), FilterCountGE(reference, idSetFor(reference, keys, counts), sr)...)
-	PutCountFilterScratch(sr)
-	if len(ga) == 0 {
-		t.Fatal("premise: dense intersection came back empty")
-	}
-	if !reflect.DeepEqual(ga, gr) {
-		t.Fatalf("parallel adaptive result diverges: %d vs %d candidates", len(ga), len(gr))
+	keys := slices.Sorted(maps.Keys(ds))
+	for _, thresholded := range []bool{false, true} {
+		wants := make([]int32, len(keys))
+		for i, k := range keys {
+			wants[i] = 1
+			if thresholded && (k == "big:0" || k == "big:1") {
+				wants[i] = 2
+			}
+		}
+		ga := filterCopy(adaptive, keys, wants)
+		gr := filterCopy(reference, keys, wants)
+		if len(ga) == 0 {
+			t.Fatalf("thresholded=%v: premise: dense intersection came back empty", thresholded)
+		}
+		if !reflect.DeepEqual(ga, gr) {
+			t.Fatalf("thresholded=%v: parallel adaptive result diverges: %d vs %d candidates", thresholded, len(ga), len(gr))
+		}
+		if want := bruteCountGE(ds, keys, wants); !reflect.DeepEqual(ga, want) {
+			t.Fatalf("thresholded=%v: %d candidates, brute force %d", thresholded, len(ga), len(want))
+		}
 	}
 }

@@ -7,7 +7,43 @@ import (
 
 	"repro/internal/features"
 	"repro/internal/index"
+	"repro/internal/trie"
 )
+
+// FilterByCounts is the string-keyed reference count filter: a direct
+// threshold check of every posting of every wanted key, folded by sorted
+// intersection. The oracle for FilterFresh over index.FilterCountGE.
+func FilterByCounts(tr *trie.Trie, want map[string]int, nGraphs int) []int32 {
+	if len(want) == 0 {
+		out := make([]int32, nGraphs)
+		for i := range out {
+			out[i] = int32(i)
+		}
+		return out
+	}
+	var cand []int32
+	first := true
+	for k, c := range want {
+		posts := tr.Get(k)
+		var ids []int32
+		for _, p := range posts {
+			if int(p.Count) >= c {
+				ids = append(ids, p.Graph)
+			}
+		}
+		// posts (and hence ids) are sorted by construction
+		if first {
+			cand = ids
+			first = false
+		} else {
+			cand = index.IntersectSorted(cand, ids)
+		}
+		if len(cand) == 0 {
+			return nil
+		}
+	}
+	return cand
+}
 
 // Differential test pinning the legacy string-keyed count filter
 // (FilterByCounts) against the ID-keyed hot path (FilterFresh) on

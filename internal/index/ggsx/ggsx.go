@@ -184,38 +184,3 @@ func copyIDs(ids []int32) []int32 {
 	}
 	return append([]int32(nil), ids...)
 }
-
-// FilterByCounts is the legacy string-keyed count filter, kept for callers
-// holding a map of canonical keys (tests, tooling). The hot path is
-// FilterFresh over index.FilterCountGE.
-func FilterByCounts(tr *trie.Trie, want map[string]int, nGraphs int) []int32 {
-	if len(want) == 0 {
-		out := make([]int32, nGraphs)
-		for i := range out {
-			out[i] = int32(i)
-		}
-		return out
-	}
-	var cand []int32
-	first := true
-	for k, c := range want {
-		posts := tr.Get(k)
-		var ids []int32
-		for _, p := range posts {
-			if int(p.Count) >= c {
-				ids = append(ids, p.Graph)
-			}
-		}
-		// posts (and hence ids) are sorted by construction
-		if first {
-			cand = ids
-			first = false
-		} else {
-			cand = index.IntersectSorted(cand, ids)
-		}
-		if len(cand) == 0 {
-			return nil
-		}
-	}
-	return cand
-}

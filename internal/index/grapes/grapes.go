@@ -167,17 +167,11 @@ func (x *Index) enumerate(g *graph.Graph, opt features.PathOptions) *features.Pa
 		return features.Paths(g, opt)
 	}
 	parts := make([]*features.PathSet, w)
-	var wg sync.WaitGroup
-	for t := 0; t < w; t++ {
-		lo := t * n / w
-		hi := (t + 1) * n / w
-		wg.Add(1)
-		go func(t, lo, hi int) {
-			defer wg.Done()
-			parts[t] = features.PathsRange(g, opt, lo, hi)
-		}(t, lo, hi)
-	}
-	wg.Wait()
+	trie.ParallelFor(w, w, func(_ int, claim func() int) {
+		for t := claim(); t >= 0; t = claim() {
+			parts[t] = features.PathsRange(g, opt, t*n/w, (t+1)*n/w)
+		}
+	})
 	out := parts[0]
 	for _, p := range parts[1:] {
 		features.MergePathSets(out, p)

@@ -85,9 +85,6 @@ type Container interface {
 	// itself a member — the index into rank-aligned satellite arrays
 	// (counts, locations) when it is.
 	Rank(g int32) (int, bool)
-	// Range visits the members in ascending order with their ranks,
-	// stopping early when fn returns false.
-	Range(fn func(i int, g int32) bool)
 	// AppendTo appends the members in ascending order.
 	AppendTo(dst []int32) []int32
 	// Min returns the smallest member.
@@ -190,14 +187,6 @@ func (a *ArrayContainer) Contains(g int32) bool {
 
 func (a *ArrayContainer) Rank(g int32) (int, bool) { return slices.BinarySearch(a.ids, g) }
 
-func (a *ArrayContainer) Range(fn func(i int, g int32) bool) {
-	for i, g := range a.ids {
-		if !fn(i, g) {
-			return
-		}
-	}
-}
-
 func (a *ArrayContainer) AppendTo(dst []int32) []int32 { return append(dst, a.ids...) }
 func (a *ArrayContainer) Min() int32                   { return a.ids[0] }
 func (a *ArrayContainer) Max() int32                   { return a.ids[len(a.ids)-1] }
@@ -250,20 +239,6 @@ func (b *BitmapContainer) Rank(g int32) (int, bool) {
 	bit := uint(o & 63)
 	r += bits.OnesCount64(w & (1<<bit - 1))
 	return r, w&(1<<bit) != 0
-}
-
-func (b *BitmapContainer) Range(fn func(i int, g int32) bool) {
-	i := 0
-	for wi, w := range b.words {
-		for w != 0 {
-			t := bits.TrailingZeros64(w)
-			if !fn(i, b.base+int32(wi<<6+t)) {
-				return
-			}
-			i++
-			w &= w - 1
-		}
-	}
 }
 
 func (b *BitmapContainer) AppendTo(dst []int32) []int32 {
@@ -386,21 +361,6 @@ func (r *RunContainer) Rank(g int32) (int, bool) {
 		rank += int(run.End-run.Start) + 1
 	}
 	return rank, false
-}
-
-func (r *RunContainer) Range(fn func(i int, g int32) bool) {
-	i := 0
-	for _, run := range r.runs {
-		for g := run.Start; ; g++ {
-			if !fn(i, g) {
-				return
-			}
-			i++
-			if g == run.End {
-				break
-			}
-		}
-	}
 }
 
 func (r *RunContainer) AppendTo(dst []int32) []int32 {

@@ -17,7 +17,10 @@ package trie
 // postings alone, independent of the order of inserts, the number of
 // build workers, or how many save→load→mutate cycles produced it.
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // PostingList is the container-backed replacement for []Posting. The zero
 // value is an empty list. It is a small value type: copy freely, but the
@@ -75,11 +78,59 @@ func (pl PostingList) Rank(g int32) (int, bool) {
 	return pl.ids.Rank(g)
 }
 
-// Range visits the graph IDs in ascending order with their ranks.
-func (pl PostingList) Range(fn func(i int, g int32) bool) {
-	if pl.ids != nil {
-		pl.ids.Range(fn)
+// KeepCountGE compacts ids — ascending and duplicate-free — in place to
+// the members of the list whose occurrence count is at least want, and
+// returns the kept prefix: the count filter's survivor check. It is one
+// sorted rank sweep of the container, never a walk of the whole list — a
+// forward binary search over an array, a running popcount over a bitmap's
+// words, a forward walk over runs. Non-members are dropped.
+func (pl PostingList) KeepCountGE(ids []int32, want int32) []int32 {
+	out := ids[:0]
+	keep := func(r int) bool { return pl.CountAt(r) >= want }
+	switch c := pl.ids.(type) {
+	case *ArrayContainer:
+		j := 0 // ranks below j hold members < every remaining id
+		for _, g := range ids {
+			k, ok := slices.BinarySearch(c.ids[j:], g)
+			if j += k; ok && keep(j) {
+				out = append(out, g)
+			}
+		}
+	case *BitmapContainer:
+		w, rank := 0, 0 // rank = members in words[:w]
+		for _, g := range ids {
+			o := int64(g) - int64(c.base)
+			if o < 0 {
+				continue
+			}
+			wi := int(o >> 6)
+			if wi >= len(c.words) {
+				break
+			}
+			for ; w < wi; w++ {
+				rank += bits.OnesCount64(c.words[w])
+			}
+			word, bit := c.words[wi], uint(o&63)
+			if word&(1<<bit) != 0 && keep(rank+bits.OnesCount64(word&(1<<bit-1))) {
+				out = append(out, g)
+			}
+		}
+	case *RunContainer:
+		ri, rank := 0, 0 // rank = members in runs[:ri]
+		for _, g := range ids {
+			for ri < len(c.runs) && c.runs[ri].End < g {
+				rank += int(c.runs[ri].End-c.runs[ri].Start) + 1
+				ri++
+			}
+			if ri == len(c.runs) {
+				break
+			}
+			if g >= c.runs[ri].Start && keep(rank+int(g-c.runs[ri].Start)) {
+				out = append(out, g)
+			}
+		}
 	}
+	return out
 }
 
 // AppendIDs appends the graph IDs in ascending order.
@@ -101,10 +152,9 @@ func (pl PostingList) Postings() []Posting {
 
 // appendPostings appends the materialised postings to dst.
 func (pl PostingList) appendPostings(dst []Posting) []Posting {
-	pl.Range(func(i int, g int32) bool {
+	for i, g := range pl.AppendIDs(make([]int32, 0, pl.Len())) {
 		dst = append(dst, Posting{Graph: g, Count: pl.CountAt(i), Locs: pl.LocsAt(i)})
-		return true
-	})
+	}
 	return dst
 }
 

@@ -475,8 +475,14 @@ func (t *Trie) DeadLen() int {
 //	})
 //
 // ParallelFor returns after every worker has finished, so it establishes
-// the happens-before edge parallel builds rely on. Shared by the shard
-// merge below, the path-method builds and core's cache-side index builds.
+// the happens-before edge parallel builds rely on. A panic in a worker does
+// not kill the process from a goroutine nobody can recover on: each worker
+// recovers, ParallelFor waits for all of them, then re-panics the first
+// recovered value, unchanged, on the caller's goroutine — so the caller's
+// own recover (and type checks such as *ShardFaultError) see it exactly as
+// if the body had run inline. Shared by the shard merge below, the
+// path-method builds, lazy materialisation, the count filter's parallel
+// path and core's cache-side index builds.
 func ParallelFor(n, workers int, body func(worker int, claim func() int)) {
 	if workers > n {
 		workers = n
@@ -493,15 +499,27 @@ func ParallelFor(n, workers int, body func(worker int, claim func() int)) {
 		body(0, claim)
 		return
 	}
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		panicked sync.Once
+		first    any
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.Do(func() { first = r })
+				}
+			}()
 			body(w, claim)
 		}(w)
 	}
 	wg.Wait()
+	if first != nil {
+		panic(first)
+	}
 }
 
 // stagedPosting is one posting awaiting its shard merge.
