@@ -11,10 +11,12 @@
 // graph's path index).
 //
 // Location information pays off at verification: the query can only embed
-// among vertices where its features occur, so Grapes induces the subgraph
-// of the candidate on the located vertices, splits it into connected
-// components, and runs VF2 only on components large enough to host the
-// query — typically small, which is what makes Grapes fast on large graphs.
+// among vertices where its features occur, so Grapes splits the candidate's
+// located vertices into the connected components they induce and runs RI
+// only inside components large enough to host the query — typically small,
+// which is what makes Grapes fast on large graphs. The components are found
+// and searched in place on the candidate's adjacency (a vertex mask, see
+// iso.Matcher.ExistsWithin); no subgraph is copied.
 //
 // Filtering and location lookup run on interned feature IDs (see package
 // ggsx); the string-based enumeration is only used at build time, where the
@@ -22,7 +24,10 @@
 package grapes
 
 import (
+	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/features"
 	"repro/internal/graph"
@@ -58,17 +63,22 @@ type Index struct {
 	tr   *trie.Trie
 	log  *index.DeltaLog // unsaved mutations; shared across generations
 
-	// memo of the last query's features: Verify runs once per candidate of
-	// the same query, so re-enumerating per candidate would be wasteful. A
-	// hit requires both the same *Graph and an unchanged structural
-	// fingerprint — pointer identity alone would serve stale features to a
-	// caller that mutates a query graph in place between queries (or after
-	// the allocator reuses a freed graph's address).
-	mu     sync.Mutex
-	lastQ  *graph.Graph
-	lastFP uint64
-	lastF  []features.IDCount
-	memoS  *features.Scratch
+	// memo of the last query's Verify-invariant state: Verify runs once per
+	// candidate of the same query, so recomputing it per candidate would be
+	// wasteful. See queryState.
+	memo atomic.Pointer[queryMemo]
+}
+
+// queryMemo is one query's features and connectivity, immutable once
+// published. A hit requires both the same *Graph and an unchanged
+// structural fingerprint — pointer identity alone would serve stale state
+// to a caller that mutates a query graph in place between queries (or after
+// the allocator reuses a freed graph's address).
+type queryMemo struct {
+	q         *graph.Graph
+	fp        uint64
+	feats     []features.IDCount
+	connected bool
 }
 
 var (
@@ -89,8 +99,7 @@ func New(opt Options) *Index {
 		opt.BuildWorkers = opt.Threads
 	}
 	d := features.NewDict()
-	return &Index{opt: opt, dict: d, tr: trie.NewSharded(d, opt.Shards),
-		log: index.NewDeltaLog(), memoS: features.NewScratch()}
+	return &Index{opt: opt, dict: d, tr: trie.NewSharded(d, opt.Shards), log: index.NewDeltaLog()}
 }
 
 // Name implements index.Method, including the thread count as in the paper.
@@ -201,93 +210,165 @@ func (x *Index) FilterByFeatureCounts(qf features.IDSet) []int32 {
 // query's features; since every vertex of an embedding occurs in some query
 // feature occurrence (at minimum its single-vertex label path), the image of
 // any embedding lies inside the located set, and — for a connected query —
-// inside one connected component of the induced subgraph.
+// inside one connected component of the subgraph it induces. Verify finds
+// those components by a BFS over the candidate's adjacency restricted to
+// the located vertices and runs RI inside each one that can host the query,
+// in order of their smallest vertex, until one embeds it. A warm call on a
+// connected query allocates nothing.
 func (x *Index) Verify(q *graph.Graph, id int32) bool {
 	g := x.db[id]
 	if q.NumVertices() == 0 {
 		return true // the empty pattern embeds everywhere
 	}
-	if !q.IsConnected() {
+	m := x.queryState(q)
+	if !m.connected {
 		// Component restriction is unsound for disconnected queries;
 		// fall back to a whole-graph test (RI, Grapes' matcher).
 		return iso.SubgraphAlg(q, g, iso.RI)
 	}
-	qf := x.queryFeatures(q)
-	var located []int32
-	for _, fc := range qf {
-		pl := x.tr.GetByID(fc.ID)
-		if i, ok := pl.Rank(id); ok {
-			located = unionInto(located, pl.LocsAt(i))
-		}
-	}
-	vs := make([]int, len(located))
-	for i, v := range located {
-		vs[i] = int(v)
-	}
-	sub, _ := g.InducedSubgraph(vs)
-	return iso.SubgraphConnectedComponents(q, sub, sub.ConnectedComponents())
+	s := verifyPool.Get().(*verifyScratch)
+	ok := s.verify(x.tr, m.feats, q, g, id)
+	verifyPool.Put(s)
+	return ok
 }
 
-// queryFeatures returns (and memoises) the interned path features of q.
-// Unknown features carry no location information, so lookup-only
-// enumeration is sufficient here. The returned slice is freshly allocated
-// per distinct query and never mutated afterwards, so concurrent Verify
-// calls may keep using a snapshot after the memo moves on.
+// verifyScratch is the working memory of one Verify call, pooled.
+type verifyScratch struct {
+	// mark holds epoch stamps per candidate vertex. A call takes one stamp
+	// for its located vertices and one per component: mark[v] == the
+	// located stamp means v is located and not yet in a component, a
+	// larger stamp names v's component, and anything smaller is a previous
+	// call's.
+	mark  []int32
+	epoch int32       // the last stamp handed out
+	deg   []int32     // per located vertex: its neighbours in its component
+	bfs   []int32     // the located vertices in BFS order, component by component
+	verts []int32     // the same ranges, each component ascending
+	comps []component // in order of their smallest vertex
+	in    iso.Within  // held here so passing &in does not allocate
+	m     iso.Matcher
+}
+
+// component is one connected component of the located vertices: its range
+// in verifyScratch.bfs and .verts is [end-size, end).
+type component struct{ end, size, edges int32 }
+
+var verifyPool = sync.Pool{New: func() any { return new(verifyScratch) }}
+
+// verify tests the connected query q, with interned features qf, inside the
+// components of candidate g (dataset id) located by tr.
+func (s *verifyScratch) verify(tr *trie.Trie, qf []features.IDCount, q, g *graph.Graph, id int32) bool {
+	n := g.NumVertices()
+	if len(s.mark) < n {
+		s.mark = make([]int32, n)
+		s.deg = make([]int32, n)
+	}
+	// One stamp for the located set plus at most one per located vertex.
+	if s.epoch > math.MaxInt32-1-int32(n) {
+		clear(s.mark)
+		s.epoch = 0
+	}
+	s.epoch++
+	located := s.epoch
+	lo, hi, k := n, -1, 0 // span and number of the located vertices
+	for _, fc := range qf {
+		pl := tr.GetByID(fc.ID)
+		if r, ok := pl.Rank(id); ok {
+			for _, v := range pl.LocsAt(r) {
+				if s.mark[v] != located {
+					s.mark[v] = located
+					lo, hi, k = min(lo, int(v)), max(hi, int(v)), k+1
+				}
+			}
+		}
+	}
+	if k < q.NumVertices() {
+		return false
+	}
+	// A BFS from each located vertex not reached yet, in ascending order,
+	// finds the components in order of their smallest vertex.
+	s.bfs, s.comps = s.bfs[:0], s.comps[:0]
+	for r := lo; r <= hi; r++ {
+		if s.mark[r] != located {
+			continue
+		}
+		s.epoch++
+		tag := s.epoch
+		start := len(s.bfs)
+		s.mark[r] = tag
+		s.bfs = append(s.bfs, int32(r))
+		edges := int32(0)
+		for i := start; i < len(s.bfs); i++ {
+			v := s.bfs[i]
+			d := int32(0)
+			for _, w := range g.Neighbors(int(v)) {
+				switch s.mark[w] {
+				case located:
+					s.mark[w] = tag
+					s.bfs = append(s.bfs, w)
+					d++
+				case tag:
+					d++
+				}
+			}
+			s.deg[v] = d
+			edges += d
+		}
+		s.comps = append(s.comps, component{end: int32(start), size: int32(len(s.bfs) - start), edges: edges / 2})
+	}
+	// One ascending sweep lays each component out sorted in its range of
+	// verts, advancing end from the range's start to its end.
+	s.verts = slices.Grow(s.verts[:0], len(s.bfs))[:len(s.bfs)]
+	for v := lo; v <= hi; v++ {
+		if t := s.mark[v]; t > located {
+			c := &s.comps[t-located-1]
+			s.verts[c.end] = int32(v)
+			c.end++
+		}
+	}
+	for i, c := range s.comps {
+		if int(c.size) < q.NumVertices() {
+			continue
+		}
+		s.in = iso.Within{Tag: s.mark, ID: located + 1 + int32(i), Deg: s.deg,
+			Verts: s.verts[c.end-c.size : c.end], Edges: int(c.edges)}
+		if s.m.ExistsWithin(q, g, &s.in, nil) {
+			return true
+		}
+	}
+	return false
+}
+
+// queryState returns (and memoises) q's interned path features and
+// connectivity. Unknown features carry no location information, so
+// lookup-only enumeration is sufficient here. The memo is one immutable
+// record behind an atomic pointer: concurrent Verify calls never wait on
+// each other, and a caller may keep using a record after the memo moves on.
 //
 // The memo key is (pointer, structural fingerprint): the fingerprint
 // detects in-place mutation of the same graph object (and address reuse),
 // while the pointer check turns a would-be fingerprint collision between
 // two distinct graphs into a harmless recomputation instead of a wrong
-// verification. The hash is paid on every Verify call, but it is O(|q|)
-// on the small query graph and is dwarfed by the induced-subgraph + VF2
-// test that follows (engine query stream benches at parity with the
-// pointer-only memo).
-func (x *Index) queryFeatures(q *graph.Graph) []features.IDCount {
+// verification. The fingerprint is memoised on the graph, so a hit costs
+// two comparisons.
+func (x *Index) queryState(q *graph.Graph) *queryMemo {
 	fp := graph.Fingerprint(q)
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.lastQ != q || x.lastFP != fp {
-		qf := features.PathsID(q, features.PathOptions{MaxLen: x.opt.MaxPathLen}, x.dict, x.memoS, false)
-		x.lastQ, x.lastFP = q, fp
-		x.lastF = append([]features.IDCount(nil), qf.Counts...)
+	if m := x.memo.Load(); m != nil && m.q == q && m.fp == fp {
+		return m
 	}
-	return x.lastF
+	cs := index.GetCountFilterScratch()
+	qf := features.PathsID(q, features.PathOptions{MaxLen: x.opt.MaxPathLen}, x.dict, cs.Feat, false)
+	m := &queryMemo{q: q, fp: fp, feats: slices.Clone(qf.Counts), connected: q.IsConnected()}
+	index.PutCountFilterScratch(cs)
+	x.memo.Store(m)
+	return m
 }
 
-// resetMemo invalidates the query-feature memo (Build and LoadIndex).
-func (x *Index) resetMemo() {
-	x.mu.Lock()
-	x.lastQ, x.lastFP, x.lastF = nil, 0, nil
-	x.mu.Unlock()
-}
+// resetMemo invalidates the query memo (Build and LoadIndex).
+func (x *Index) resetMemo() { x.memo.Store(nil) }
 
 // SizeBytes implements index.Method: the path trie (postings + location
 // lists) plus the feature dictionary the index owns, counted at the live
 // vocabulary (see ggsx.SizeBytes on why the dictionary is counted at its
 // owner and why retired features are excluded).
 func (x *Index) SizeBytes() int { return x.tr.SizeBytes() + x.tr.LiveDictSizeBytes() }
-
-func unionInto(dst, src []int32) []int32 {
-	if len(dst) == 0 {
-		return append(dst, src...)
-	}
-	out := make([]int32, 0, len(dst)+len(src))
-	i, j := 0, 0
-	for i < len(dst) && j < len(src) {
-		switch {
-		case dst[i] < src[j]:
-			out = append(out, dst[i])
-			i++
-		case dst[i] > src[j]:
-			out = append(out, src[j])
-			j++
-		default:
-			out = append(out, dst[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, dst[i:]...)
-	out = append(out, src[j:]...)
-	return out
-}

@@ -135,18 +135,25 @@ func TestQueryFeatureMemoReuse(t *testing.T) {
 	x := New(DefaultOptions())
 	x.Build(db)
 	q := randomGraph(rng, 4, 0.6, 3)
-	f1 := append([]features.IDCount(nil), x.queryFeatures(q)...)
-	f2 := x.queryFeatures(q)
-	if !slices.Equal(f1, f2) {
-		t.Error("same query returned different features")
+	m1 := x.queryState(q)
+	f1 := slices.Clone(m1.feats)
+	m2 := x.queryState(q)
+	if m2 != m1 || !slices.Equal(f1, m2.feats) {
+		t.Error("same query returned a different memo record")
 	}
-	if x.lastQ != q {
+	if m1.connected != q.IsConnected() {
+		t.Errorf("memo connected = %v, want %v", m1.connected, q.IsConnected())
+	}
+	if x.memo.Load().q != q {
 		t.Error("memo does not hold the last query")
 	}
 	q2 := randomGraph(rng, 4, 0.6, 3)
-	x.queryFeatures(q2)
-	if x.lastQ != q2 {
+	x.queryState(q2)
+	if x.memo.Load().q != q2 {
 		t.Error("different query served stale memo")
+	}
+	if !slices.Equal(f1, m1.feats) {
+		t.Error("a published memo record changed after the memo moved on")
 	}
 }
 
@@ -164,21 +171,5 @@ func TestNameAndSizeInPackage(t *testing.T) {
 	x.Build(db)
 	if x.SizeBytes() <= 0 {
 		t.Error("SizeBytes not positive after Build")
-	}
-}
-
-func TestUnionIntoEdgeCases(t *testing.T) {
-	if got := unionInto(nil, []int32{1, 2}); len(got) != 2 {
-		t.Errorf("unionInto(nil, ...) = %v", got)
-	}
-	got := unionInto([]int32{1, 3}, []int32{2, 3, 4})
-	want := []int32{1, 2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("unionInto = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("unionInto = %v, want %v", got, want)
-		}
 	}
 }

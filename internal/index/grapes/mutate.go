@@ -35,7 +35,7 @@ func (x *Index) pathOptions() features.PathOptions {
 // clone returns a new generation over (db, tr) sharing the dictionary and
 // delta log, with a fresh query-feature memo.
 func (x *Index) clone(db []*graph.Graph, tr *trie.Trie) *Index {
-	return &Index{opt: x.opt, db: db, dict: x.dict, tr: tr, log: x.log, memoS: features.NewScratch()}
+	return &Index{opt: x.opt, db: db, dict: x.dict, tr: tr, log: x.log}
 }
 
 // AppendGraphs implements index.Mutable (see ggsx.Index.AppendGraphs).

@@ -25,6 +25,15 @@
 // All searches stop at the first embedding unless asked to enumerate, which
 // matches the paper's alteration of Grapes ("stop query processing when the
 // first match was found").
+//
+// Grapes verifies a connected query inside each connected component of a
+// candidate's located vertices. Matcher.ExistsWithin runs that RI search in
+// place on the stored adjacency, restricted to the component by a tag
+// array, instead of on a copied induced subgraph. Because the component is
+// ascending and adjacency lists are sorted, the restricted search explores
+// exactly the search tree that RI explores on the materialised induced
+// subgraph: same candidates in the same order, same pruning, same answer
+// and the same Stats.
 package iso
 
 import (
@@ -143,25 +152,4 @@ func Isomorphic(a, b *graph.Graph) bool {
 		return false
 	}
 	return vf2Exists(a, b, nil)
-}
-
-// SubgraphConnectedComponents reports whether pattern ⊆ target, restricting
-// the search to the given target components. Testing each connected
-// component of a (possibly disconnected) pattern independently is NOT sound
-// in general (components could collide on target vertices), so this helper
-// exists for the common case where the caller knows the pattern is
-// connected — the Grapes verification strategy, hence the RI engine. comps
-// lists target vertex sets; the pattern is matched against each induced
-// component until one embeds it.
-func SubgraphConnectedComponents(pattern, target *graph.Graph, comps [][]int) bool {
-	for _, comp := range comps {
-		if len(comp) < pattern.NumVertices() {
-			continue
-		}
-		sub, _ := target.InducedSubgraph(comp)
-		if riExists(pattern, sub, nil) {
-			return true
-		}
-	}
-	return false
 }

@@ -312,30 +312,6 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestSubgraphConnectedComponents(t *testing.T) {
-	// target: triangle(1,1,1) ∪ path(2,2); pattern: edge(2,2) lives only in
-	// the second component.
-	tgt := graph.New(5)
-	tgt.AddVertex(1)
-	tgt.AddVertex(1)
-	tgt.AddVertex(1)
-	tgt.AddVertex(2)
-	tgt.AddVertex(2)
-	tgt.AddEdge(0, 1)
-	tgt.AddEdge(1, 2)
-	tgt.AddEdge(0, 2)
-	tgt.AddEdge(3, 4)
-	pat := pathGraph(2, 2)
-	comps := tgt.ConnectedComponents()
-	if !SubgraphConnectedComponents(pat, tgt, comps) {
-		t.Error("component-restricted search missed embedding")
-	}
-	pat2 := pathGraph(1, 2)
-	if SubgraphConnectedComponents(pat2, tgt, comps) {
-		t.Error("cross-component pattern falsely embedded")
-	}
-}
-
 func TestAlgorithmString(t *testing.T) {
 	if VF2.String() != "VF2" || RI.String() != "RI" || Ullmann.String() != "Ullmann" {
 		t.Error("Algorithm.String broken")
