@@ -27,8 +27,8 @@ func (ci *ContainmentIndex) NFTable(extra int) []int32 {
 }
 
 // ApplyMutation builds the post-mutation index: mut.Apply()'s trie plus nf
-// as the new NF table. Unaffected shards, posting containers and byte-trie
-// subtrees are shared with the receiver, which remains valid and
+// as the new NF table. Unaffected shards and posting containers are
+// shared with the receiver, which remains valid and
 // immutable. Cost is O(staged features), independent of the dataset size.
 func (ci *ContainmentIndex) ApplyMutation(mut *trie.Mutation, nf []int32) *ContainmentIndex {
 	return newContainmentIndex(ci.maxPathLen, mut.Apply(), nf)

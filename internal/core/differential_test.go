@@ -37,9 +37,9 @@ func (x *superRefMethod) Filter(q *graph.Graph) []int32 { return x.ci.CandidateS
 func (x *superRefMethod) Verify(q *graph.Graph, id int32) bool {
 	return iso.Subgraph(x.db[id], q)
 }
-func (x *superRefMethod) SizeBytes() int                 { return x.ci.SizeBytes() }
-func (x *superRefMethod) FeatureDict() *features.Dict    { return x.ci.Dict() }
-func (x *superRefMethod) FeatureMaxPathLen() int         { return x.ci.MaxPathLen() }
+func (x *superRefMethod) SizeBytes() int              { return x.ci.SizeBytes() }
+func (x *superRefMethod) FeatureDict() *features.Dict { return x.ci.Dict() }
+func (x *superRefMethod) FeatureMaxPathLen() int      { return x.ci.MaxPathLen() }
 func (x *superRefMethod) FilterByFeatureCounts(qf features.IDSet) []int32 {
 	return x.ci.CandidatesFromIDSet(qf)
 }

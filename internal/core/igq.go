@@ -89,9 +89,6 @@ type Options struct {
 	Labels int
 	// Mode selects subgraph (default) or supergraph query processing.
 	Mode Mode
-	// Parallel runs the three filtering paths concurrently, as in the
-	// paper's system description (Fig 6, step 1).
-	Parallel bool
 	// DisableSub / DisableSuper switch off one knowledge path (ablation).
 	DisableSub   bool
 	DisableSuper bool
@@ -426,37 +423,17 @@ func (q *IGQ) run(ctx context.Context, g *graph.Graph, admit bool) (*Outcome, er
 		countFilter = nil
 	}
 
+	start := time.Now()
 	var cs []int32
-	var subHits, superHits []*entry
-	var identical *entry
-
-	lookup := func() {
-		t0 := time.Now()
-		subHits, superHits, identical = q.cacheLookup(snap, g, qfp, qf, sc, out)
-		out.CacheDur = time.Since(t0)
-	}
-	filter := func() {
-		t0 := time.Now()
-		if countFilter != nil {
-			cs = normalizeIDs(countFilter.FilterByFeatureCounts(qf))
-		} else {
-			cs = normalizeIDs(snap.m.Filter(g))
-		}
-		out.FilterDur = time.Since(t0)
-	}
-	if q.opt.Parallel {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			filter()
-		}()
-		lookup()
-		wg.Wait()
+	if countFilter != nil {
+		cs = normalizeIDs(countFilter.FilterByFeatureCounts(qf))
 	} else {
-		filter()
-		lookup()
+		cs = normalizeIDs(snap.m.Filter(g))
 	}
+	out.FilterDur = time.Since(start)
+	start = time.Now()
+	subHits, superHits, identical := q.cacheLookup(snap, g, qfp, qf, sc, out)
+	out.CacheDur = time.Since(start)
 	out.BaseCandidates = len(cs)
 
 	// unionSide entries contribute answers directly (formulas 3–4);

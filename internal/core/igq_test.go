@@ -316,23 +316,6 @@ func TestAblationFlagsDisablePaths(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	db := buildDB(rng, 20)
-	m := ggsx.New(ggsx.DefaultOptions())
-	m.Build(db)
-	seqI := New(m, db, Options{CacheSize: 10, Window: 3})
-	parI := New(m, db, Options{CacheSize: 10, Window: 3, Parallel: true})
-
-	for i, q := range workload(rng, db, 60) {
-		a := seqI.Query(q.Clone())
-		b := parI.Query(q.Clone())
-		if !reflect.DeepEqual(a.Answer, b.Answer) {
-			t.Fatalf("query %d: parallel answer differs", i)
-		}
-	}
-}
-
 func TestWindowDedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	db := buildDB(rng, 10)

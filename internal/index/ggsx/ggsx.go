@@ -113,7 +113,7 @@ func BuildPaths(tr *trie.Trie, db []*graph.Graph, opt features.PathOptions, work
 	if workers <= 1 {
 		for i, g := range db {
 			ps := features.Paths(g, opt)
-			insertPathSet(tr.Insert, int32(i), ps)
+			addPathSet(tr.Insert, int32(i), ps)
 		}
 		return
 	}
@@ -122,15 +122,15 @@ func BuildPaths(tr *trie.Trie, db []*graph.Graph, opt features.PathOptions, work
 		bw := b.Worker(w)
 		for i := claim(); i >= 0; i = claim() {
 			ps := features.Paths(db[i], opt)
-			insertPathSet(bw.Insert, int32(i), ps)
+			addPathSet(bw.Insert, int32(i), ps)
 		}
 	})
 	b.Merge()
 }
 
-// insertPathSet emits one graph's enumerated features through insert —
+// addPathSet emits one graph's enumerated features through insert —
 // either Trie.Insert (sequential) or BuildWorker.Insert (staged).
-func insertPathSet(insert func(string, trie.Posting), graphID int32, ps *features.PathSet) {
+func addPathSet(insert func(string, trie.Posting), graphID int32, ps *features.PathSet) {
 	for k, c := range ps.Counts {
 		insert(k, trie.Posting{Graph: graphID, Count: int32(c), Locs: ps.Locations[k]})
 	}

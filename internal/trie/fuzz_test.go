@@ -8,8 +8,7 @@ import (
 )
 
 // fuzzSeedTrie builds a small representative trie: multi-shard postings,
-// location lists, a removal (dead-key compaction on write) and a pending
-// byte-trie resurrection case.
+// location lists and a removal (dead-key compaction on write).
 func fuzzSeedTrie() *Trie {
 	tr := NewSharded(features.NewDict(), 4)
 	tr.Insert("ab", Posting{Graph: 0, Count: 2, Locs: []int32{0, 3}})

@@ -35,10 +35,9 @@ package trie
 // query panic containment converts that into a query error.
 //
 // Mutation, persistence and whole-store accounting force-materialise
-// first (Materialize / ensureMaterialized): every shard is faulted in,
-// the byte trie is rebuilt, and the trie becomes an ordinary eager trie —
-// a Materialize'd lazy load is observationally identical to ReadFrom,
-// including re-Save bytes.
+// first (Materialize / ensureMaterialized): every shard is faulted in and
+// the trie becomes an ordinary eager trie — a Materialize'd lazy load is
+// observationally identical to ReadFrom, including re-Save bytes.
 
 import (
 	"encoding/binary"
@@ -173,7 +172,7 @@ type lazyState struct {
 	faults       int64
 	evictions    int64
 	replays      int64 // actual overlay replays (not patch applications)
-	sealed       bool // Materialize under way/done: eviction disabled
+	sealed       bool  // Materialize under way/done: eviction disabled
 	materialized bool
 }
 
@@ -495,16 +494,14 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 		shards:   make([]lazyShard, k),
 	}
 
-	// Install: placeholder shards (replaced by Materialize), empty byte
-	// trie (rebuilt by Materialize — Walk/NodeCount materialise first).
+	// Install placeholder shards (replaced by Materialize; Walk/NodeCount
+	// materialise first).
 	shards := make([]shard, k)
 	for i := range shards {
 		shards[i].posts = make(map[features.FeatureID]PostingList)
 	}
 	t.shards = shards
 	t.mask = mask
-	t.root = node{}
-	t.nodes = 0
 	t.dead = nil
 	t.recovered = rec
 	t.stamp = nil
@@ -558,7 +555,7 @@ func (ls *lazyState) faultIn(s int) (*shardResident, error) {
 		return nil, fmt.Errorf("%w: segment %d CRC mismatch", ErrCorrupt, s)
 	}
 	posts := make(map[features.FeatureID]PostingList)
-	if _, err := decodeSegment(body, posts, ls.remap, ls.mask, uint32(s), ls.version, ls.policy); err != nil {
+	if err := decodeSegment(body, posts, ls.remap, ls.mask, uint32(s), ls.version, ls.policy); err != nil {
 		return nil, fmt.Errorf("segment %d: %w", s, err)
 	}
 	res := &shardResident{posts: posts}
@@ -685,10 +682,10 @@ func (t *Trie) FaultInShard(s int) error {
 	return err
 }
 
-// Materialize faults every shard in, rebuilds the byte trie and converts
-// the trie into an ordinary eager one — afterwards it is observationally
-// identical to a ReadFrom of the same snapshot (answers, Walk order,
-// NodeCount, SizeBytes, re-Save bytes) and src is no longer needed.
+// Materialize faults every shard in and converts the trie into an
+// ordinary eager one — afterwards it is observationally identical to a
+// ReadFrom of the same snapshot (answers, Walk order, NodeCount,
+// SizeBytes, re-Save bytes) and src is no longer needed.
 // Mutation and persistence call this implicitly. Concurrent readers keep
 // being served from the resident table until the switch is published. On
 // error (a corrupt or unreadable segment) the trie stays lazy and
@@ -725,19 +722,13 @@ func (t *Trie) Materialize() error {
 			return fmt.Errorf("trie: materialize shard %d: %w", s, err)
 		}
 	}
-	// Install the resident maps and rebuild the byte trie (a pure function
-	// of the key set; insertion order is irrelevant). Concurrent readers
-	// still route through the resident table until the Store(nil) below
-	// publishes the eager trie — the atomic pointer is the release/acquire
-	// edge covering all these plain writes.
-	t.root = node{}
-	t.nodes = 0
+	// Install the resident maps. Concurrent readers still route through
+	// the resident table until the Store(nil) below publishes the eager
+	// trie — the atomic pointer is the release/acquire edge covering all
+	// these plain writes.
 	t.dead = nil
 	for s := 0; s < k; s++ {
 		t.shards[s].posts = residents[s].posts
-		for id := range residents[s].posts {
-			t.insertPath(t.dict.Key(id), id)
-		}
 		for _, id := range residents[s].drained {
 			if t.dead == nil {
 				t.dead = make(map[features.FeatureID]struct{})

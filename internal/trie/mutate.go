@@ -15,10 +15,7 @@ package trie
 //     edited feature back into canonical container form — so a batch costs
 //     one materialise + one seal per touched feature, and container
 //     encodings are re-chosen exactly where a feature crossed a density
-//     threshold. Untouched features keep sharing the base's containers;
-//   - the byte trie is updated by path copying: inserting or pruning a key
-//     clones the O(len(key)) nodes along its path and shares every other
-//     subtree with the base.
+//     threshold. Untouched features keep sharing the base's containers.
 //
 // The base trie is never written, so readers holding it are unaffected;
 // installing the new trie is the caller's snapshot swap (the engine's
@@ -28,10 +25,9 @@ package trie
 // land byte-identically on the live in-memory state.
 //
 // Feature identity across removals: postings of a drained feature (no
-// occurrences left after a removal) are deleted and its byte-trie path is
-// pruned, but its dictionary entry cannot be reclaimed — FeatureIDs are
-// dense process-local handles and other index generations may still hold
-// them. The trie instead tracks such features in a dead set: they are
+// occurrences left after a removal) are deleted, but its dictionary entry
+// cannot be reclaimed — FeatureIDs are dense process-local handles and
+// other index generations may still hold them. The trie instead tracks such features in a dead set: they are
 // excluded from size accounting (LiveDictSizeBytes) and from persisted
 // snapshots (WriteTo compacts the dictionary), so observable state always
 // matches a from-scratch build over the surviving dataset. A later append
@@ -112,10 +108,9 @@ func (m *Mutation) RemoveGraph(removed, swappedFrom int32, scrubKeys []string, s
 func (m *Mutation) RecordTo(j *Journal) { j.ops = append(j.ops, m.ops...) }
 
 // Apply builds the post-mutation trie. The base is left untouched and keeps
-// answering over the pre-mutation dataset; unaffected shards, posting
-// slices and byte-trie subtrees are shared between the two. Cost is
-// O(staged features + one map copy per affected shard), independent of the
-// dataset size.
+// answering over the pre-mutation dataset; unaffected shards and posting
+// containers are shared between the two. Cost is O(staged features + one
+// map copy per affected shard), independent of the dataset size.
 func (m *Mutation) Apply() *Trie {
 	// A partially-resident base cannot be copy-on-written shard by shard
 	// (absent shards have nothing to share); a lazily-opened base faults
@@ -133,8 +128,7 @@ func (m *Mutation) Apply() *Trie {
 // plus ownership tracking for copy-on-write.
 type applier struct {
 	t     *Trie
-	owned []bool             // shards whose postings map is private to t
-	nodes map[*node]struct{} // byte-trie nodes owned (cloned or created) by this applier
+	owned []bool // shards whose postings map is private to t
 
 	// editing holds the flat working copies of features touched by this
 	// applier: the first edit materialises the base's container into a
@@ -149,19 +143,14 @@ func newApplier(base *Trie) *applier {
 	t := &Trie{
 		dict:      base.dict,
 		mask:      base.mask,
-		nodes:     base.nodes,
 		dead:      maps.Clone(base.dead),
 		shards:    append([]shard(nil), base.shards...),
 		policy:    base.policy,
 		probeCost: base.probeCost,
 	}
-	// The root is cloned up front so path copies below never write a node
-	// reachable from the base.
-	t.root = *cloneNode(&base.root)
 	return &applier{
 		t:       t,
 		owned:   make([]bool, len(t.shards)),
-		nodes:   map[*node]struct{}{},
 		editing: map[features.FeatureID][]Posting{},
 	}
 }
@@ -173,17 +162,6 @@ func (a *applier) seal() {
 		a.shardFor(id).posts[id] = sealPostings(a.t.policy, ps)
 	}
 	a.editing = nil
-}
-
-// cloneNode shallow-copies a byte-trie node with private label/children
-// slices (the grandchildren stay shared).
-func cloneNode(n *node) *node {
-	return &node{
-		labels:   append([]byte(nil), n.labels...),
-		children: append([]*node(nil), n.children...),
-		id:       n.id,
-		terminal: n.terminal,
-	}
 }
 
 // shardFor returns a privately owned postings map for the feature's shard,
@@ -221,19 +199,15 @@ func (a *applier) apply(op mutOp) {
 	}
 }
 
-// insert adds one posting for key, interning it, re-creating the byte-trie
-// path when the feature is new to (or was drained from) this trie, and
-// resurrecting it from the dead set if needed.
+// insert adds one posting for key, interning it and resurrecting it from
+// the dead set when the feature was drained from this trie.
 func (a *applier) insert(key string, p Posting) {
 	id := a.t.dict.Intern(key)
 	sh := a.shardFor(id)
 	ps, editing := a.editing[id]
 	if !editing {
-		pl, seen := sh.posts[id]
-		if !seen {
-			a.insertPathCOW(key, id)
-			delete(a.t.dead, id)
-		}
+		delete(a.t.dead, id) // no-op unless the feature was drained
+		pl := sh.posts[id]
 		ps = pl.appendPostings(make([]Posting, 0, pl.Len()+4))
 	}
 	i := sort.Search(len(ps), func(i int) bool { return ps[i].Graph >= p.Graph })
@@ -249,8 +223,8 @@ func (a *applier) insert(key string, p Posting) {
 }
 
 // removePosting drops the posting of graph g under key, if present. A
-// feature drained to zero postings is deleted, its byte-trie path pruned
-// and its ID retired to the dead set.
+// feature drained to zero postings is deleted and its ID retired to the
+// dead set.
 func (a *applier) removePosting(key string, g int32) {
 	id, ok := a.t.dict.Lookup(key)
 	if !ok {
@@ -275,7 +249,6 @@ func (a *applier) removePosting(key string, g int32) {
 	if len(ps) == 1 {
 		delete(sh.posts, id)
 		delete(a.editing, id)
-		a.removePathCOW(key)
 		if a.t.dead == nil {
 			a.t.dead = make(map[features.FeatureID]struct{})
 		}
@@ -284,88 +257,4 @@ func (a *applier) removePosting(key string, g int32) {
 	}
 	ps = append(ps[:i], ps[i+1:]...)
 	a.editing[id] = ps
-}
-
-// child returns n's child for byte b and its index, or (nil, insertion
-// point) when absent.
-func childOf(n *node, b byte) (*node, int) {
-	i := sort.Search(len(n.labels), func(i int) bool { return n.labels[i] >= b })
-	if i < len(n.labels) && n.labels[i] == b {
-		return n.children[i], i
-	}
-	return nil, i
-}
-
-// ownedChild descends from n (which must be applier-owned) to its child for
-// byte b, cloning the child first unless this applier already owns it.
-func (a *applier) ownedChild(n *node, b byte) *node {
-	c, i := childOf(n, b)
-	if c == nil {
-		return nil
-	}
-	if _, ok := a.nodes[c]; !ok {
-		c = cloneNode(c)
-		a.nodes[c] = struct{}{}
-		n.children[i] = c
-	}
-	return c
-}
-
-// insertPathCOW records key in the byte trie by path copying: every node on
-// the path is applier-owned (cloned at most once per Apply); missing nodes
-// are created, counted into t.nodes.
-func (a *applier) insertPathCOW(key string, id features.FeatureID) {
-	n := &a.t.root
-	for i := 0; i < len(key); i++ {
-		b := key[i]
-		if c := a.ownedChild(n, b); c != nil {
-			n = c
-			continue
-		}
-		c := &node{}
-		a.nodes[c] = struct{}{}
-		_, at := childOf(n, b)
-		n.labels = append(n.labels, 0)
-		copy(n.labels[at+1:], n.labels[at:])
-		n.labels[at] = b
-		n.children = append(n.children, nil)
-		copy(n.children[at+1:], n.children[at:])
-		n.children[at] = c
-		a.t.nodes++
-		n = c
-	}
-	n.terminal = true
-	n.id = id
-}
-
-// removePathCOW unsets key's terminal and prunes any childless non-terminal
-// suffix of its path, again by path copying.
-func (a *applier) removePathCOW(key string) {
-	type step struct {
-		parent *node
-		b      byte
-	}
-	path := make([]step, 0, len(key))
-	n := &a.t.root
-	for i := 0; i < len(key); i++ {
-		b := key[i]
-		c := a.ownedChild(n, b)
-		if c == nil {
-			return // key was never in the byte trie
-		}
-		path = append(path, step{parent: n, b: b})
-		n = c
-	}
-	n.terminal = false
-	for i := len(path) - 1; i >= 0; i-- {
-		if len(n.children) > 0 || n.terminal {
-			break
-		}
-		p := path[i].parent
-		_, at := childOf(p, path[i].b)
-		p.labels = append(p.labels[:at], p.labels[at+1:]...)
-		p.children = append(p.children[:at], p.children[at+1:]...)
-		a.t.nodes--
-		n = p
-	}
 }

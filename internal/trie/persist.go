@@ -126,9 +126,6 @@ package trie
 //     append new trailing sections behind a version bump, never
 //     reinterpret existing fields.
 //
-// The byte-level trie (Walk order, NodeCount) is not serialised: it is a
-// pure function of the key set and is rebuilt during load.
-//
 // # Durability & crash safety
 //
 // The format splits into a *base* (header, dictionary, segments) and the
@@ -649,12 +646,11 @@ func (t *Trie) readFrom(cr *countingScanner, opt LoadOptions) (*TailRecovery, er
 		shards[i].posts = make(map[features.FeatureID]PostingList)
 	}
 	mask := uint32(k - 1)
-	perSeg := make([][]features.FeatureID, k)
 	if identity {
 		errs := make([]error, k) // one slot per segment: no cross-worker writes
 		ParallelFor(k, workers, func(_ int, claim func() int) {
 			for s := claim(); s >= 0; s = claim() {
-				perSeg[s], errs[s] = decodeSegment(segs[s], shards[s].posts, remap, mask, uint32(s), version, t.policy)
+				errs[s] = decodeSegment(segs[s], shards[s].posts, remap, mask, uint32(s), version, t.policy)
 			}
 		})
 		for s, err := range errs {
@@ -665,33 +661,22 @@ func (t *Trie) readFrom(cr *countingScanner, opt LoadOptions) (*TailRecovery, er
 	} else {
 		staged := make(map[features.FeatureID]PostingList)
 		for s := 0; s < k; s++ {
-			ids, err := decodeSegment(segs[s], staged, remap, 0, 0, version, t.policy)
-			if err != nil {
+			if err := decodeSegment(segs[s], staged, remap, 0, 0, version, t.policy); err != nil {
 				return nil, fmt.Errorf("segment %d: %w", s, err)
 			}
-			perSeg[s] = ids
 		}
 		for id, pl := range staged {
 			shards[uint32(id)&mask].posts[id] = pl
 		}
 	}
 
-	// Install, then rebuild the byte trie (pure function of the key set —
-	// single-writer, order-insensitive).
 	t.lazyLive.Store(nil)
 	t.lazyOrigin = nil
 	t.shards = shards
 	t.mask = mask
-	t.root = node{}
-	t.nodes = 0
 	t.dead = nil
 	t.stamp = nil
 	t.recovered = rec
-	for _, ids := range perSeg {
-		for _, id := range ids {
-			t.insertPath(t.dict.Key(id), id)
-		}
-	}
 	// Replay the journals in append order through the live mutation path
 	// (decode above already validated them; Apply itself cannot fail).
 	for _, j := range journals {
@@ -769,31 +754,30 @@ func readFullCapped(r io.Reader, n uint64) ([]byte, error) {
 // shard's private map. version selects the posting-list wire form (≥ 3:
 // containers; ≤ 2: flat runs, with empty features legal only in version
 // 1); decoded lists are promoted to the canonical container kind under
-// policy. Returns the decoded (remapped) feature IDs.
-func decodeSegment(body []byte, posts map[features.FeatureID]PostingList, remap []features.FeatureID, wantMask, wantShard uint32, version uint64, policy ContainerPolicy) ([]features.FeatureID, error) {
+// policy.
+func decodeSegment(body []byte, posts map[features.FeatureID]PostingList, remap []features.FeatureID, wantMask, wantShard uint32, version uint64, policy ContainerPolicy) error {
 	d := segDecoder{b: body}
 	nFeat, err := d.uvarint()
 	if err != nil || nFeat > uint64(len(body)) {
-		return nil, fmt.Errorf("%w: feature count", ErrCorrupt)
+		return fmt.Errorf("%w: feature count", ErrCorrupt)
 	}
-	ids := make([]features.FeatureID, 0, nFeat)
 	var prevID uint64
 	for f := uint64(0); f < nFeat; f++ {
 		delta, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		oldID := prevID + delta
 		if f > 0 && delta == 0 {
-			return nil, fmt.Errorf("%w: duplicate feature ID", ErrCorrupt)
+			return fmt.Errorf("%w: duplicate feature ID", ErrCorrupt)
 		}
 		prevID = oldID
 		if oldID >= uint64(len(remap)) {
-			return nil, fmt.Errorf("%w: feature ID %d outside dictionary", ErrCorrupt, oldID)
+			return fmt.Errorf("%w: feature ID %d outside dictionary", ErrCorrupt, oldID)
 		}
 		id := remap[oldID]
 		if wantMask != 0 && uint32(id)&wantMask != wantShard {
-			return nil, fmt.Errorf("%w: feature ID %d in wrong segment", ErrCorrupt, oldID)
+			return fmt.Errorf("%w: feature ID %d in wrong segment", ErrCorrupt, oldID)
 		}
 		var pl PostingList
 		if version >= 3 {
@@ -802,15 +786,14 @@ func decodeSegment(body []byte, posts map[features.FeatureID]PostingList, remap 
 			pl, err = d.decodeLegacyPostings(version, policy)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		posts[id] = pl
-		ids = append(ids, id)
 	}
 	if d.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-d.off)
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-d.off)
 	}
-	return ids, nil
+	return nil
 }
 
 // decodeLegacyPostings decodes one feature's version ≤ 2 flat posting run
@@ -1080,8 +1063,9 @@ func (d *segDecoder) byte() (byte, error) {
 func (d *segDecoder) remaining() int { return len(d.b) - d.off }
 
 // Reshard redistributes the postings into k shards (normalised to a power
-// of two in [1, 64]; ≤ 0 selects DefaultShards()). Contents, Walk order,
-// NodeCount and all answers are unchanged — only the layout moves; posting
+// of two in [1, 64]; ≤ 0 selects DefaultShards()). The key set, and with
+// it Walk order and NodeCount, and all answers are unchanged — only the
+// layout moves; posting
 // slices are shared, not copied. Like the build path, Reshard is exclusive:
 // no concurrent readers.
 func (t *Trie) Reshard(k int) {

@@ -18,14 +18,10 @@
 //
 // Sharding is invisible to correctness: the shard holding a feature is a
 // pure function of its ID, so any shard count yields the same postings, the
-// same Walk order and the same filter results. The byte-level trie over the
-// canonical keys is kept for what genuinely needs strings: lexicographic
-// Walk, persistence, and the node-count / size accounting the paper reports
-// (Fig 18).
-//
-// Children are kept in sorted compact slices: feature alphabets are tiny
-// (digits, '.', ':' and a few letters), so binary search over a slice beats
-// per-node maps on both memory and cache behaviour.
+// same Walk order and the same filter results. The paper's trie shows only
+// in the size accounting (Fig 18): NodeCount derives the node count of a
+// byte trie over the live keys on demand from the sorted key set, and Walk
+// visits the keys in that same order.
 //
 // Postings are stored in cardinality-adaptive containers (container.go):
 // each feature's graph-ID set is an array, bitmap or run-length container
@@ -46,7 +42,7 @@ package trie
 import (
 	"runtime"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -58,28 +54,6 @@ type Posting struct {
 	Graph int32   // graph identifier (dataset position or cache slot)
 	Count int32   // number of occurrences of the feature in the graph
 	Locs  []int32 // optional sorted vertex locations (Grapes); may be nil
-}
-
-type node struct {
-	labels   []byte
-	children []*node
-	id       features.FeatureID
-	terminal bool
-}
-
-func (n *node) ensureChild(b byte) *node {
-	i := sort.Search(len(n.labels), func(i int) bool { return n.labels[i] >= b })
-	if i < len(n.labels) && n.labels[i] == b {
-		return n.children[i]
-	}
-	c := &node{}
-	n.labels = append(n.labels, 0)
-	copy(n.labels[i+1:], n.labels[i:])
-	n.labels[i] = b
-	n.children = append(n.children, nil)
-	copy(n.children[i+1:], n.children[i:])
-	n.children[i] = c
-	return c
 }
 
 // shard is one independent slice of the postings space: every feature with
@@ -94,8 +68,6 @@ type Trie struct {
 	dict   *features.Dict
 	shards []shard
 	mask   uint32 // len(shards)-1; shard counts are powers of two
-	root   node
-	nodes  int
 
 	// dead holds features whose postings this trie drained by removal.
 	// Their dictionary entries cannot be reclaimed (FeatureIDs are dense
@@ -237,26 +209,40 @@ func (t *Trie) MaxPostingLen() int {
 	return longest
 }
 
-// NodeCount returns the number of internal trie nodes (excluding the root),
-// an index-size proxy.
+// NodeCount returns the number of nodes (excluding the root) of a byte trie
+// over the stored keys, an index-size proxy. That count is the number of
+// distinct non-empty key prefixes: Σ(len(kᵢ) − LCP(kᵢ₋₁, kᵢ)) over the keys
+// in bytewise order. It is computed on demand.
 func (t *Trie) NodeCount() int {
-	t.ensureMaterialized()
-	return t.nodes
+	n, prev := 0, ""
+	for _, e := range t.sortedKeys() {
+		lcp := 0
+		for lcp < len(prev) && lcp < len(e.key) && prev[lcp] == e.key[lcp] {
+			lcp++
+		}
+		n += len(e.key) - lcp
+		prev = e.key
+	}
+	return n
 }
 
-// insertPath records key in the byte trie with its interned ID.
-func (t *Trie) insertPath(key string, id features.FeatureID) {
-	n := &t.root
-	for i := 0; i < len(key); i++ {
-		before := len(n.labels)
-		c := n.ensureChild(key[i])
-		if len(n.labels) != before {
-			t.nodes++
+// keyedID is one stored feature with its canonical key.
+type keyedID struct {
+	key string
+	id  features.FeatureID
+}
+
+// sortedKeys lists the stored features in bytewise key order.
+func (t *Trie) sortedKeys() []keyedID {
+	t.ensureMaterialized()
+	out := make([]keyedID, 0, t.Len())
+	for s := range t.shards {
+		for id := range t.shards[s].posts {
+			out = append(out, keyedID{t.dict.Key(id), id})
 		}
-		n = c
 	}
-	n.terminal = true
-	n.id = id
+	slices.SortFunc(out, func(a, b keyedID) int { return strings.Compare(a.key, b.key) })
+	return out
 }
 
 // Insert adds (or merges) a posting for key, interning it into the
@@ -265,28 +251,15 @@ func (t *Trie) insertPath(key string, id features.FeatureID) {
 // Not safe for concurrent use — parallel builds go through Builder.
 func (t *Trie) Insert(key string, p Posting) {
 	t.ensureMaterialized()
-	id := t.dict.Intern(key)
-	sh := t.shardFor(id)
-	if _, seen := sh.posts[id]; !seen {
-		t.insertPath(key, id)
-		delete(t.dead, id)
-	}
-	t.addPosting(sh, id, p)
+	t.InsertID(t.dict.Intern(key), p)
 }
 
 // InsertID adds (or merges) a posting for an already-interned feature — the
 // hot sequential build path for callers enumerating features as IDs.
 func (t *Trie) InsertID(id features.FeatureID, p Posting) {
 	t.ensureMaterialized()
+	delete(t.dead, id) // resurrects a drained feature; no-op for a live one
 	sh := t.shardFor(id)
-	if _, seen := sh.posts[id]; !seen {
-		t.insertPath(t.dict.Key(id), id)
-		delete(t.dead, id)
-	}
-	t.addPosting(sh, id, p)
-}
-
-func (t *Trie) addPosting(sh *shard, id features.FeatureID, p Posting) {
 	pl := sh.posts[id]
 	pl.add(t.policy, p)
 	sh.posts[id] = pl
@@ -326,32 +299,21 @@ func (t *Trie) Contains(key string) bool {
 	return t.GetByID(id).Len() > 0
 }
 
-// Walk visits every (key, postings) pair in lexicographic key order. The
+// Walk visits every (key, postings) pair in bytewise key order. The
 // postings slice is materialised fresh per key.
 func (t *Trie) Walk(fn func(key string, postings []Posting)) {
-	t.ensureMaterialized()
-	var buf []byte
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n.terminal {
-			fn(string(buf), t.GetByID(n.id).Postings())
-		}
-		for i, b := range n.labels {
-			buf = append(buf, b)
-			rec(n.children[i])
-			buf = buf[:len(buf)-1]
-		}
+	for _, e := range t.sortedKeys() {
+		fn(e.key, t.GetByID(e.id).Postings())
 	}
-	rec(&t.root)
 }
 
 // RemoveGraph deletes every posting of the given graph id across all keys.
 // Features drained to zero postings are removed outright: their postings
-// map entry is deleted, their byte-trie path is pruned (so Walk, NodeCount,
-// SizeBytes and a persisted snapshot all agree with a trie never holding
-// the key) and their dictionary ID is retired to the dead set. Like the
-// build path, RemoveGraph is exclusive — no concurrent readers; concurrent
-// mutation goes through Mutation/Apply instead.
+// map entry is deleted (so Walk, NodeCount, SizeBytes and a persisted
+// snapshot all agree with a trie never holding the key) and their
+// dictionary ID is retired to the dead set. Like the build path,
+// RemoveGraph is exclusive — no concurrent readers; concurrent mutation
+// goes through Mutation/Apply instead.
 func (t *Trie) RemoveGraph(id int32) {
 	t.ensureMaterialized()
 	for s := range t.shards {
@@ -363,7 +325,6 @@ func (t *Trie) RemoveGraph(id int32) {
 			}
 			if drained {
 				delete(posts, fid)
-				t.removePath(t.dict.Key(fid))
 				if t.dead == nil {
 					t.dead = make(map[features.FeatureID]struct{})
 				}
@@ -375,58 +336,21 @@ func (t *Trie) RemoveGraph(id int32) {
 	}
 }
 
-// removePath unsets key's terminal flag in the byte trie and prunes the
-// childless non-terminal tail of its path (the in-place sibling of the
-// applier's removePathCOW; exclusive access required).
-func (t *Trie) removePath(key string) {
-	type step struct {
-		parent *node
-		at     int
-	}
-	path := make([]step, 0, len(key))
-	n := &t.root
-	for i := 0; i < len(key); i++ {
-		c, at := childOf(n, key[i])
-		if c == nil {
-			return
-		}
-		path = append(path, step{parent: n, at: at})
-		n = c
-	}
-	n.terminal = false
-	for i := len(path) - 1; i >= 0; i-- {
-		if len(n.children) > 0 || n.terminal {
-			break
-		}
-		p := path[i].parent
-		at := path[i].at
-		p.labels = append(p.labels[:at], p.labels[at+1:]...)
-		p.children = append(p.children[:at], p.children[at+1:]...)
-		t.nodes--
-		n = p
-	}
-}
-
-// SizeBytes approximates the in-memory footprint of the trie (nodes, shard
-// tables, postings and location lists), used for the paper's Fig 18
-// accounting.
+// SizeBytes approximates the in-memory footprint of the trie (the nodes of
+// a byte trie over the keys, shard tables, postings and location lists),
+// used for the paper's Fig 18 accounting. Each node is charged 64 bytes
+// plus one label byte and one 8-byte child pointer per child, so n nodes
+// below a root cost 64 + 73·n.
 func (t *Trie) SizeBytes() int {
 	if t.lazyLive.Load() != nil {
 		// Lazily opened: report the resident footprint instead of forcing
 		// every shard in — a monitoring scrape must never defeat laziness.
-		// Converges on the eager figure as shards fault in; identical after
-		// Materialize (which also builds the byte-trie nodes counted below).
+		// Converges on the eager figure as shards fault in, except for the
+		// node term below, which needs every key; identical after
+		// Materialize.
 		return int(t.Residency().ResidentBytes)
 	}
-	sz := 0
-	var rec func(n *node)
-	rec = func(n *node) {
-		sz += 64 + len(n.labels) + 8*len(n.children)
-		for _, c := range n.children {
-			rec(c)
-		}
-	}
-	rec(&t.root)
+	sz := 64 + 73*t.NodeCount()
 	sz += 48 * len(t.shards) // shard headers
 	for s := range t.shards {
 		for _, pl := range t.shards[s].posts {
@@ -592,21 +516,16 @@ func (w *BuildWorker) InsertID(id features.FeatureID, p Posting) {
 // Builder is drained and the trie is ready for lock-free reads.
 func (b *Builder) Merge() {
 	t := b.t
-	k := len(t.shards)
-	newIDs := make([][]features.FeatureID, k)
-	ParallelFor(k, runtime.GOMAXPROCS(0), func(_ int, claim func() int) {
+	ParallelFor(len(t.shards), runtime.GOMAXPROCS(0), func(_ int, claim func() int) {
 		for s := claim(); s >= 0; s = claim() {
-			newIDs[s] = t.mergeShard(s, b.workers)
+			t.mergeShard(s, b.workers)
 		}
 	})
-	// Byte-trie paths for first-seen keys. The trie's structure (and hence
-	// Walk order and NodeCount) is a function of the key set alone, so the
-	// insertion order here does not matter; doing it after the parallel
-	// phase keeps the byte trie single-writer.
-	for _, ids := range newIDs {
-		for _, id := range ids {
-			t.insertPath(t.dict.Key(id), id)
-			delete(t.dead, id) // resurrect a previously drained feature
+	// Resurrect previously drained features that came back. The dead set is
+	// shared by all shards, so this runs after the parallel phase.
+	for id := range t.dead {
+		if _, live := t.shardFor(id).posts[id]; live {
+			delete(t.dead, id)
 		}
 	}
 	for _, w := range b.workers {
@@ -616,16 +535,15 @@ func (b *Builder) Merge() {
 	}
 }
 
-// mergeShard inserts every staged posting for shard s and returns the IDs
-// that were new to this trie (their byte-trie paths are still missing).
-func (t *Trie) mergeShard(s int, workers []*BuildWorker) []features.FeatureID {
+// mergeShard inserts every staged posting for shard s.
+func (t *Trie) mergeShard(s int, workers []*BuildWorker) {
 	sh := &t.shards[s]
 	n := 0
 	for _, w := range workers {
 		n += len(w.staged[s])
 	}
 	if n == 0 {
-		return nil
+		return
 	}
 	all := make([]stagedPosting, 0, n)
 	for _, w := range workers {
@@ -646,7 +564,6 @@ func (t *Trie) mergeShard(s int, workers []*BuildWorker) []features.FeatureID {
 		}
 		return 0
 	})
-	var newIDs []features.FeatureID
 	for i := 0; i < len(all); {
 		j := i
 		id := all[i].id
@@ -668,11 +585,9 @@ func (t *Trie) mergeShard(s int, workers []*BuildWorker) []features.FeatureID {
 			sh.posts[id] = sealPostings(t.policy, mergePostingRuns(old.Postings(), run))
 		} else {
 			sh.posts[id] = sealPostings(t.policy, run)
-			newIDs = append(newIDs, id)
 		}
 		i = j
 	}
-	return newIDs
 }
 
 // mergePostingRuns merges two graph-sorted posting runs, combining postings
